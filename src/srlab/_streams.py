@@ -44,3 +44,86 @@ def derive_seed(master_seed: int, tag: int) -> int:
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=(KIND_PROBE, int(tag)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# A block holds at most BLOCK_NORMALS normals (64 MB) and BLOCK_STEPS steps,
+# so a stopped trajectory wastes at most one block of draws even when few
+# streams share the budget.  Steps are copied TILE_STEPS at a time into a
+# step-major tile when a step reads many streams.
+BLOCK_NORMALS = 8_000_000
+BLOCK_STEPS = 1024
+TILE_STEPS = 32
+
+
+class BlockNormals:
+    """The normals of per-(trajectory, mode) streams, served one step at a time.
+
+    Stream (i, k) is ``mode_stream(master_seed, traj_indices[i], k, kind)``,
+    and step n reads the n-th normal of every kept stream, trajectory-major.
+    Normals are drawn a block of steps at a time, never past ``n_steps``, and
+    only for the trajectories still kept.  A stream's values depend on its key
+    alone, so neither the block length nor dropping other trajectories changes
+    what a kept trajectory sees.
+
+    With ``tile_steps = 0`` each step is a column of the (streams, steps)
+    block.  A positive ``tile_steps`` copies that many steps at a time into a
+    step-major tile instead, which pays off when a step reads many streams.
+    """
+
+    def __init__(self, master_seed: int, traj_indices, wavenumbers,
+                 n_steps: int, kind: int = KIND_FIELD, tile_steps: int = 0):
+        self._gens = [mode_stream(master_seed, ti, k, kind)
+                      for ti in traj_indices for k in wavenumbers]
+        self._n_modes = len(wavenumbers)
+        self._n_steps = n_steps
+        self._block = min(n_steps, BLOCK_STEPS,
+                          max(16, BLOCK_NORMALS // max(1, len(self._gens))))
+        self._tile_steps = tile_steps
+        self._store = np.empty(0)
+        self._raw = None      # (streams, steps) of the current block
+        self._rows = None     # rows of the block still served; None for all
+        self._lo = self._hi = 0
+        self._tile = None     # (steps, kept streams) for steps tlo..thi-1
+        self._tlo = self._thi = 0
+
+    def draw(self, n: int) -> np.ndarray:
+        """The n-th normal of every kept stream, trajectory-major (1-D)."""
+        if not self._lo <= n < self._hi:
+            self._refill(n)
+        if not self._tile_steps:
+            col = n - self._lo
+            if self._rows is None:
+                return self._raw[:, col]
+            return self._raw[self._rows, col]
+        if not self._tlo <= n < self._thi:
+            a = n - self._lo
+            b = min(a + self._tile_steps, self._hi - self._lo)
+            part = (self._raw[:, a:b] if self._rows is None
+                    else self._raw[self._rows, a:b])
+            self._tile = np.ascontiguousarray(part.T)
+            self._tlo, self._thi = n, n + b - a
+        return self._tile[n - self._tlo]
+
+    def keep(self, mask) -> None:
+        """Keep serving only the trajectories where ``mask`` is true.
+
+        ``mask`` runs over the trajectories kept so far, in order.
+        """
+        idx = np.flatnonzero(np.repeat(np.asarray(mask, dtype=bool),
+                                       self._n_modes))
+        self._gens = [self._gens[i] for i in idx]
+        self._rows = idx if self._rows is None else self._rows[idx]
+        if self._tile is not None:
+            self._tile = np.ascontiguousarray(self._tile[:, idx])
+
+    def _refill(self, n: int) -> None:
+        size = min(self._block, self._n_steps - n)
+        count = len(self._gens) * size
+        if self._store.size < count:
+            self._store = np.empty(count)
+        raw = self._store[:count].reshape(len(self._gens), size)
+        for g, row in zip(self._gens, raw):
+            g.standard_normal(size, out=row)
+        self._raw, self._rows = raw, None
+        self._lo, self._hi = n, n + size
+        self._tile, self._tlo, self._thi = None, 0, 0

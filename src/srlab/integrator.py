@@ -17,7 +17,11 @@ drive every mode, one normal draw per mode per step from the trajectory's
 dedicated counter-based stream.
 
 Exit sets are monitored online after every step; crossing times are resolved
-at the midpoint of the bracketing step.
+at the midpoint of the bracketing step.  A trajectory that stops at -d0 or
+fails (non-finite) leaves the batch's working set after that step, and its
+noise streams are not advanced further.  Each stream belongs to one
+(trajectory, mode) pair and every row's update is independent of the other
+rows, so this cannot change any other trajectory's bits.
 """
 
 from __future__ import annotations
@@ -197,35 +201,6 @@ def step(state: SpectralField, t: float, cfg: SimConfig, model: DriftModel,
     return SpectralField(cfg.spec, new)
 
 
-class _BlockNoise:
-    """Per-(trajectory, mode) stream noise served in time blocks."""
-
-    def __init__(self, master_seed, traj_indices, wavenumbers, n_steps):
-        self._gens = [
-            [_streams.mode_stream(master_seed, ti, k) for k in wavenumbers]
-            for ti in traj_indices
-        ]
-        n_traj = len(traj_indices)
-        n_modes = len(wavenumbers)
-        per_block = max(1, int(8e6 / max(1, n_traj * n_modes)))
-        self.block = min(n_steps, max(16, per_block))
-        self._buf = None
-        self._lo = 0
-        self._hi = 0
-
-    def draw(self, n: int) -> np.ndarray:
-        """(n_traj, n_modes) standard normals for step n."""
-        if not self._lo <= n < self._hi:
-            size = self.block
-            raw = np.empty((len(self._gens), len(self._gens[0]), size))
-            for i, row in enumerate(self._gens):
-                for j, g in enumerate(row):
-                    raw[i, j, :] = g.standard_normal(size)
-            self._buf = np.ascontiguousarray(raw.transpose(2, 0, 1))
-            self._lo, self._hi = n, n + size
-        return self._buf[n - self._lo]
-
-
 def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
                    exits: Optional[ExitSpec], frame=None,
                    traj_indices: Sequence[int] = (0,),
@@ -234,8 +209,11 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
 
     Per-trajectory noise comes from streams keyed by (cfg.seed, trajectory
     index, mode), so the result does not depend on how trajectories are
-    grouped into batches.  Returns a dict of per-trajectory outcome arrays
-    plus (optionally) the recorded observable series.
+    grouped into batches.  The working arrays hold active trajectories only:
+    a row that reaches -d0 (with ``stop_on_d0``) or blows up leaves them
+    after that step, and each working row writes its outcomes back to its
+    original position.  Returns a dict of per-trajectory outcome arrays plus
+    (optionally) the recorded observable series.
     """
     spec = cfg.spec
     if init.spec != spec:
@@ -272,7 +250,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
         ref_perp_zero = not np.any(ref_perp)
 
     state = np.tile(init.coeffs, (n_traj, 1))
-    active = np.ones(n_traj, dtype=bool)
+    rows = np.arange(n_traj)   # original position of each working row
     failed = np.zeros(n_traj, dtype=bool)
     inf = np.inf
     tau_b0 = np.full(n_traj, inf)
@@ -294,76 +272,88 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             rec_fields = np.full((n_traj, n_rec, spec.n_modes), np.nan)
             rec_fields[:, 0, :] = state
 
-    noise = (_BlockNoise(cfg.seed, traj_indices, spec.wavenumbers, n_steps)
+    noise = (_streams.BlockNormals(cfg.seed, traj_indices, spec.wavenumbers,
+                                   n_steps, tile_steps=_streams.TILE_STEPS)
              if cfg.sigma > 0 else None)
 
     monitor_perp = exits.h_perp is not None
     # transverse norm is needed every step only when a norm monitor is active
     perp_every_step = monitor_perp or (monitor_b and ref_perp_zero)
-    all_active = True
+    perp_sq = None
 
     def perp_norm_sq(arr):
         return np.sum(w_perp * arr**2, axis=-1)
 
+    def mark(tau, hit):
+        """Set t_cross as the hitting time of working rows hit for the first time."""
+        if hit.any():
+            idx = rows[hit]
+            tau[idx[np.isinf(tau[idx])]] = t_cross
+
+    def retire(gone, last_v0):
+        """Drop the working rows in ``gone``; their terminal phi0 is last_v0."""
+        nonlocal state, v0, perp_sq, rows
+        terminal_phi0[rows[gone]] = last_v0[gone]
+        keep = ~gone
+        state, v0, rows = state[keep], v0[keep], rows[keep]
+        if perp_sq is not None:
+            perp_sq = perp_sq[keep]
+        if noise is not None:
+            noise.keep(keep)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            if not active.any():
+            if not rows.size:
                 break
             t_n = times[n]
             vals = model.f(t_n, batch_to_physical(state, spec))
             drift = batch_from_physical(np.asarray(vals, dtype=float), spec)
-            new = decay * state + psi * drift
+            # in place, but in the order of decay*state + psi*drift + noise
+            state *= decay
+            drift *= psi
+            state += drift
             if noise is not None:
-                new = new + noise_std * noise.draw(n)
-            state = new if all_active else np.where(active[:, None], new, state)
+                state += noise_std * noise.draw(n).reshape(state.shape)
 
             finite = np.isfinite(state.sum(axis=1))
-            blew_up = active & ~finite
-            if blew_up.any():
-                failed |= blew_up
-                active &= finite
-                all_active = False
+            if not finite.all():
+                failed[rows[~finite]] = True
+                retire(~finite, v0)   # v0 still holds the last finite step
 
             t_cross = t_n + 0.5 * cfg.dt
             c0 = state[:, i0]
-            np.divide(c0, sqrt_l, out=v0, where=active)
+            v0 = c0 / sqrt_l
             record_now = collect_series and (n + 1) % cfg.record_stride == 0
             perp_sq = (perp_norm_sq(state)
                        if perp_every_step or record_now else None)
 
             if monitor_perp:
-                hit = active & np.isinf(tau_bperp) & (perp_sq >= exits.h_perp**2)
-                tau_bperp[hit] = t_cross
+                mark(tau_bperp, perp_sq >= exits.h_perp**2)
             if monitor_b0:
                 dev = np.abs(v0 - phibar_steps[n + 1])
-                hit = active & np.isinf(tau_b0) & (dev >= thr_b0[n + 1])
-                tau_b0[hit] = t_cross
+                mark(tau_b0, dev >= thr_b0[n + 1])
             if monitor_b:
                 if ref_perp_zero:
                     db_sq = perp_sq
                 else:
                     db_sq = perp_norm_sq(state - ref_perp)
                 norm_b = db_sq + (c0 - ref0_steps[n + 1]) ** 2
-                hit = active & np.isinf(tau_b) & (norm_b >= exits.h_stable**2)
-                tau_b[hit] = t_cross
+                mark(tau_b, norm_b >= exits.h_stable**2)
             if exits.d_level is not None:
-                hit = active & np.isinf(tau_d) & (v0 <= -exits.d_level)
-                tau_d[hit] = t_cross
+                mark(tau_d, v0 <= -exits.d_level)
             if exits.d0_level is not None:
-                hit = active & np.isinf(tau_d0) & (v0 <= -exits.d0_level)
-                tau_d0[hit] = t_cross
+                hit = v0 <= -exits.d0_level
+                mark(tau_d0, hit)
                 if cfg.stop_on_d0 and hit.any():
-                    active &= ~hit
-                    all_active = False
+                    retire(hit, v0)
 
             if record_now:
                 ridx = (n + 1) // cfg.record_stride
-                ok = active
-                rec_phi0[ok, ridx] = v0[ok]
-                rec_perp[ok, ridx] = np.sqrt(perp_sq[ok])
+                rec_phi0[rows, ridx] = v0
+                rec_perp[rows, ridx] = np.sqrt(perp_sq)
                 if cfg.record_fields:
-                    rec_fields[ok, ridx, :] = state[ok]
-    terminal_phi0 = v0
+                    rec_fields[rows, ridx, :] = state
+    terminal_phi0[rows] = v0
 
     out = {
         "traj_indices": np.asarray(traj_indices, dtype=np.int64),
@@ -443,22 +433,13 @@ def simulate_linear_mode(k: int, a_of_t: Callable, cfg: SimConfig,
     out = np.empty((n_paths, n_rec))
     psi = np.full(n_paths, float(psi0))
     out[:, 0] = psi
-    if cfg.sigma > 0:
-        gens = [_streams.mode_stream(cfg.seed, first_path_index + i, k)
-                for i in range(n_paths)]
+    noise = (_streams.BlockNormals(
+        cfg.seed, range(first_path_index, first_path_index + n_paths), (k,),
+        n_steps) if cfg.sigma > 0 else None)
     std = np.sqrt(var)
-    block = max(16, min(n_steps, int(8e6 / max(1, n_paths))))
-    lo = hi = 0
-    buf = None
     for n in range(n_steps):
-        if cfg.sigma > 0:
-            if not lo <= n < hi:
-                size = min(block, n_steps - n)
-                buf = np.empty((n_paths, size))
-                for i, g in enumerate(gens):
-                    buf[i, :] = g.standard_normal(size)
-                lo, hi = n, n + size
-            psi = m[n] * psi + std[n] * buf[:, n - lo]
+        if noise is not None:
+            psi = m[n] * psi + std[n] * noise.draw(n)
         else:
             psi = m[n] * psi
         if (n + 1) % cfg.record_stride == 0:

@@ -495,33 +495,25 @@ def scalar_transition_probability(delta: float, eps: float, sigma: float,
     sqdt = np.sqrt(dt / eps)
     phi = np.full(n, float(np.sqrt(delta + a1 * T0**2)))
     crossed_d = np.zeros(n, dtype=bool)
-    reached_d0 = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    gens = [_streams.mode_stream(seed, i, 0, kind=_streams.KIND_ORACLE)
-            for i in range(n)]
-    block = max(16, min(n_steps, int(8e6 / max(1, n))))
-    lo = hi = 0
-    buf = None
+    successes = 0
+    # arrays hold the paths that have not reached -d0 yet
+    noise = _streams.BlockNormals(seed, range(n), (0,), n_steps,
+                                  kind=_streams.KIND_ORACLE)
     t = -T0
     for step_i in range(n_steps):
-        if not active.any():
+        if not phi.size:
             break
-        if not lo <= step_i < hi:
-            size = min(block, n_steps - step_i)
-            buf = np.empty((n, size))
-            for i, g in enumerate(gens):
-                buf[i, :] = g.standard_normal(size)
-            lo, hi = step_i, step_i + size
         g_t = delta + a1 * t * t
-        xi = buf[:, step_i - lo]
-        upd = phi + (dt / eps) * (g_t - phi * phi) + sigma * sqdt * xi
-        phi = np.where(active, upd, phi)
-        crossed_d |= active & (phi <= -d)
-        hit0 = active & crossed_d & (phi <= -d0)
-        reached_d0 |= hit0
-        active &= ~hit0
+        xi = noise.draw(step_i)
+        phi = phi + (dt / eps) * (g_t - phi * phi) + sigma * sqdt * xi
+        crossed_d |= phi <= -d
+        hit0 = crossed_d & (phi <= -d0)
+        if hit0.any():
+            successes += int(np.count_nonzero(hit0))
+            keep = ~hit0
+            phi, crossed_d = phi[keep], crossed_d[keep]
+            noise.keep(keep)
         t += dt
-    successes = int(np.count_nonzero(reached_d0))
     p, lo_ci, hi_ci = wilson_interval(successes, n)
     return ExitStatistics(p_hat=p, ci_low=lo_ci, ci_high=hi_ci, n=n,
                           event=ExitEvent.TRANSITION, successes=successes)

@@ -1,9 +1,12 @@
 """Integrator: exponential Euler stepping, noise law, exit detection."""
 
+import collections
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from srlab import _streams
 from srlab._streams import mode_stream, trajectory_streams
 from srlab.integrator import (ExitSpec, NonFinite, SimConfig, noise_increment_std,
                               simulate, simulate_batch, simulate_linear_mode,
@@ -220,6 +223,36 @@ class TestBatchDeterminism:
         for name in ("tau_bperp", "tau_minus_d", "tau_minus_d0"):
             assert single[name][0] == batch[name][9]
 
+    def test_mixed_batch_matches_single_runs_bitwise(self):
+        # rows stop at -d0, blow up or run to the end, and so leave the
+        # batch's working set at different steps; each row's outcome and
+        # series must still be those of the same index simulated alone
+        spec = TorusSpec(1.0, 2)
+        cfg = make_cfg(spec, sigma=0.25, t_end=0.15, seed=4, record_stride=6,
+                       record_fields=True)
+        model = custom_drift(lambda t, p: -p + 4.0 * p**3)
+        init = SpectralField.zero(spec)
+        ex = ExitSpec(d_level=0.5, d0_level=0.8, h_perp=0.3, h_stable=0.4)
+        n = 24
+        batch = simulate_batch(cfg, model, init, ex, None, traj_indices=range(n))
+        stopped = np.isfinite(batch["tau_minus_d0"])
+        failed = batch["failed"]
+        ran = ~stopped & ~failed
+        assert stopped.any() and failed.any() and ran.any()
+        assert not (stopped & failed).any()
+        terminal = batch["terminal_phi0"]
+        assert np.all(terminal[stopped] <= -ex.d0_level)
+        assert np.all(np.isfinite(terminal[failed]))
+        np.testing.assert_array_equal(terminal[ran], batch["phi0"][ran, -1])
+        names = ("tau_b0", "tau_bperp", "tau_b", "tau_minus_d",
+                 "tau_minus_d0", "failed", "terminal_phi0", "phi0",
+                 "perp_hs", "fields")
+        for i in range(n):
+            single = simulate_batch(cfg, model, init, ex, None, traj_indices=[i])
+            for name in names:
+                assert single[name][0].tobytes() == batch[name][i].tobytes(), \
+                    f"{name} of trajectory {i}"
+
     def test_deterministic_rerun_is_bitwise(self):
         spec = TorusSpec(1.0, 4)
         cfg = make_cfg(spec, sigma=0.07, t_end=0.2, seed=5, record_stride=40)
@@ -327,3 +360,73 @@ class TestTruncationCoupling:
         assert diff == pytest.approx(tail, rel=0.25)
         # H^s truncation decays like K^{2s-1}: slow but visibly subdominant
         assert diff <= 0.2 * np.mean(out[16])
+
+
+class _CountedStream:
+    """A Generator proxy that adds the normals it draws to ``counts[key]``."""
+
+    def __init__(self, gen, counts, key):
+        self._gen, self._counts, self._key = gen, counts, key
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._gen.standard_normal(*args, **kwargs)
+        self._counts[self._key] += np.size(out)
+        return out
+
+
+class TestNoiseCount:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Normals drawn per (trajectory, mode) stream."""
+        drawn = collections.Counter()
+        make = _streams.mode_stream
+
+        def counted(master_seed, traj_index, k, kind=_streams.KIND_FIELD):
+            return _CountedStream(make(master_seed, traj_index, k, kind),
+                                  drawn, (traj_index, k))
+
+        monkeypatch.setattr(_streams, "mode_stream", counted)
+        return drawn
+
+    def test_no_stopping_draws_exactly_every_step(self, counts, monkeypatch):
+        # 20 streams in blocks of 50 steps: 130 steps end in a partial block
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 20 * 50)
+        spec = TorusSpec(1.0, 2)
+        cfg = make_cfg(spec, sigma=0.05, t_end=0.065)
+        simulate_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
+                       None, None, traj_indices=range(4), collect_series=False)
+        assert len(counts) == 4 * spec.n_modes
+        assert set(counts.values()) == {cfg.n_steps}
+
+    def test_one_mode_sampler_draws_exactly_every_step(self, counts,
+                                                       monkeypatch):
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 30 * 50)
+        spec = TorusSpec(1.0, 2)
+        cfg = make_cfg(spec, sigma=0.05, t_end=0.065)
+        a = lambda t: -np.ones_like(np.asarray(t, dtype=float))
+        simulate_linear_mode(1, a, cfg, n_paths=30)
+        assert len(counts) == 30
+        assert set(counts.values()) == {cfg.n_steps}
+
+    def test_stopped_rows_draw_nothing_after_their_block(self, counts,
+                                                         monkeypatch):
+        block = 50
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 24 * 5 * block)
+        spec = TorusSpec(1.0, 2)
+        cfg = make_cfg(spec, sigma=0.25, t_end=0.065, seed=4)
+        model = custom_drift(lambda t, p: -p + 4.0 * p**3)
+        res = simulate_batch(cfg, model, SpectralField.zero(spec),
+                             ExitSpec(d0_level=0.8), None,
+                             traj_indices=range(24), collect_series=False)
+        tau = res["tau_minus_d0"]
+        stopped = np.isfinite(tau)
+        assert stopped.any() and res["failed"].any()
+        assert (~stopped & ~res["failed"]).any()
+        last = np.full(24, cfg.n_steps - 1)
+        last[stopped] = np.rint((tau[stopped] - cfg.t_start) / cfg.dt - 0.5)
+        for i in range(24):
+            if res["failed"][i]:
+                continue
+            expect = min((last[i] // block + 1) * block, cfg.n_steps)
+            for k in spec.wavenumbers:
+                assert counts[(i, k)] == expect

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import srlab.mc as mc
 from srlab.integrator import ExitSpec, SimConfig, simulate
 from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                       ExitStatistics, UnknownEvent, concentration_fit,
                       event_probability, fit_line, mode_variance_report,
                       run_batch, scaling_exponent, scalar_transition_probability,
-                      threshold_bisect, transition_probability, wilson_interval)
+                      threshold_bisect, transition_probability, transition_study,
+                      wilson_interval)
 from srlab.model import linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec
 
@@ -68,6 +70,24 @@ class TestRunBatch:
         b = run_batch(cfg, model, init, exits, None, n=300, n_workers=3)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert a.cfg_digest == b.cfg_digest
+
+    def test_chunk_size_invariance(self, monkeypatch):
+        # K=16 transition batch in which about 60% of the paths stop at -d0:
+        # rows leave their chunk's working set at different steps, and the
+        # outcomes must not depend on which rows shared a chunk
+        def outcomes(chunk, workers):
+            monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
+            batch, _, _ = transition_study(None, 0.04, 1e-2, 0.15, 120, K=16,
+                                           T0=0.25, seed=8, n_workers=workers)
+            return batch.outcomes
+
+        ref = outcomes(256, 1)
+        stopped = np.isfinite(ref["tau_minus_d0"])
+        assert 0 < stopped.sum() < len(ref)
+        for chunk in (17, 64, 256, 512):
+            for workers in (1, 2):
+                assert ref.tobytes() == outcomes(chunk, workers).tobytes(), \
+                    f"CHUNK_SIZE={chunk}, {workers} workers"
 
     def test_digest_stable_across_reruns(self, setup):
         cfg, model, init, exits = setup
