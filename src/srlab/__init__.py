@@ -17,9 +17,8 @@ from .model import (BranchSet, DriftKind, DriftModel, Stability, allen_cahn,
 from .adiabatic import (AdiabaticFrame, alpha_integral, build_frame,
                         deterministic_pde_track, track_stable, track_unstable,
                         zeta_solve)
-from .integrator import (ExitSpec, NonFinite, SimConfig, TrajectoryRecord,
-                         noise_increment_std, simulate, simulate_linear_mode,
-                         step)
+from .integrator import (ExitSpec, NonFinite, SimConfig, noise_increment_std,
+                         simulate_linear_mode)
 from .mc import (BatchResult, ExitEvent, ExitStatistics, FitResult,
                  concentration_fit, event_probability, mode_variance_report,
                  run_batch, scaling_exponent, threshold_bisect,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DriftModel, Stability, equilibrium_branches
+from .model import DriftModel, equilibrium_branches
 from .spectral import SpectralField, TorusSpec
 
 __all__ = [
@@ -159,15 +159,6 @@ def _make_grid(T0: float, grid_step: float) -> np.ndarray:
     return np.linspace(-T0, T0, n_steps + 1)
 
 
-def _branch_root(model: DriftModel, t: float, stable: bool, branch: str) -> float:
-    bs = equilibrium_branches(model, t)
-    want = Stability.STABLE if stable else Stability.UNSTABLE
-    roots = [r for r, s in zip(bs.roots, bs.stability) if s is want]
-    if not roots:
-        raise ValueError(f"no {'stable' if stable else 'unstable'} branch at t={t}")
-    return max(roots) if branch == "upper" else min(roots)
-
-
 def _check_pre(eps: float, grid_step: float):
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -185,7 +176,7 @@ def track_stable(model: DriftModel, eps: float, T0: float,
     grid_step = eps / 10 if grid_step is None else grid_step
     _check_pre(eps, grid_step)
     t = _make_grid(T0, grid_step)
-    y0 = _branch_root(model, t[0], stable=True, branch=branch)
+    y0 = equilibrium_branches(model, t[0]).root(branch)
     phibar = _implicit_midpoint(model, eps, t, y0, direction=+1)
     abar = np.asarray(model.dfdphi(t, phibar), dtype=float)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (abar[1:] + abar[:-1]) * np.diff(t))))
@@ -204,7 +195,7 @@ def track_unstable(model: DriftModel, eps: float, T0: float,
     grid_step = eps / 10 if grid_step is None else grid_step
     _check_pre(eps, grid_step)
     t = _make_grid(T0, grid_step)
-    y0 = _branch_root(model, t[-1], stable=False, branch=branch)
+    y0 = equilibrium_branches(model, t[-1]).root(branch, stable=False)
     phihat = _implicit_midpoint(model, eps, t, y0, direction=-1)
     ahat = np.asarray(model.dfdphi(t, phihat), dtype=float)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (ahat[1:] + ahat[:-1]) * np.diff(t))))
@@ -287,15 +278,13 @@ def deterministic_pde_track(model: DriftModel, eps: float, spec: TorusSpec,
     branch is O(eps), and the transverse part stays at roundoff since the
     constant modes form an invariant subspace of the deterministic flow.
     """
-    from .integrator import SimConfig, simulate
+    from .integrator import SimConfig, simulate_batch
 
-    root = _branch_root(model, 0.0, stable=True, branch=branch)
-    init = SpectralField.constant(spec, root)
+    init = SpectralField.constant(spec, equilibrium_branches(model, 0.0).root(branch))
     dt = eps / 20 if dt is None else dt
     n_steps = max(1, int(round(T / dt)))
     cfg = SimConfig(eps=eps, sigma=0.0, dt=dt, spec=spec, t_start=0.0,
                     t_end=n_steps * dt, record_stride=record_stride,
                     record_fields=True)
-    rec = simulate(cfg, model, init, exits=None, frame=None)
-    fields = [SpectralField(spec, c) for c in rec.field_samples]
-    return rec.t_samples, fields
+    rec = simulate_batch(cfg, model, init, None)[0]
+    return cfg.record_times(), [SpectralField(spec, c) for c in rec["fields"]]

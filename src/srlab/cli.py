@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,12 +31,12 @@ from . import __version__
 from ._streams import derive_seed
 from .adiabatic import FRAME_COLUMNS, StiffnessFailure, build_frame
 from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .integrator import ExitSpec, NonFinite, SimConfig, simulate
+from .integrator import ExitSpec, NonFinite, SimConfig, simulate_batch
 from .mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                  event_probability, fit_line, mode_variance_report, run_batch,
                  threshold_bisect, transition_study, ExitStatistics)
-from .model import (DriftModel, Stability, allen_cahn, equilibrium_branches,
-                    linear_drift, normal_form)
+from .model import (DriftModel, allen_cahn, equilibrium_branches, linear_drift,
+                    normal_form)
 from .spectral import SpectralField, TorusSpec
 
 EXIT_OK = 0
@@ -70,6 +71,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``path`` atomically: a temporary file beside it, then os.replace."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -99,9 +110,8 @@ class Manifest:
     def write(self, path: Path):
         self.data["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                  time.gmtime())
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        _replace_file(path, text.encode("utf-8"))
 
 
 def build_model(cfg: RunConfig) -> DriftModel:
@@ -134,37 +144,48 @@ def _resolve_times(cfg: RunConfig) -> tuple[float, float, float]:
     return t_start, t_start + n * dt, dt
 
 
+def _sim_config(cfg: RunConfig, seed: int,
+                sigma: Optional[float] = None) -> SimConfig:
+    """The engine setup of a run; ``sigma`` overrides [sim] sigma."""
+    t_start, t_end, dt = _resolve_times(cfg)
+    return SimConfig(eps=cfg.sim.epsilon,
+                     sigma=cfg.sim.sigma if sigma is None else sigma, dt=dt,
+                     spec=_torus(cfg), t_start=t_start, t_end=t_end,
+                     s_monitor=cfg.sim.s_monitor, seed=seed,
+                     record_stride=cfg.sim.record_stride,
+                     stop_on_d0=cfg.sim.stop_on_d0)
+
+
 def _exits(cfg: RunConfig) -> ExitSpec:
     e = cfg.exits
     return ExitSpec(h=e.h, h_perp=e.h_perp, h_stable=e.h_stable,
                     d_level=e.d_level, d0_level=e.d0_level)
 
 
-def _needs_frame(cfg: RunConfig) -> bool:
-    return cfg.exits.h is not None or cfg.sim.init == "adiabatic"
+def _needs_frame(cfg: RunConfig, exits: ExitSpec) -> bool:
+    return exits.h is not None or cfg.sim.init == "adiabatic"
 
 
-def _build_frame(cfg: RunConfig, model: DriftModel, t_start: float, t_end: float):
-    T0 = max(cfg.adiabatic.t0, abs(t_start), abs(t_end))
+def _build_frame(cfg: RunConfig, model: DriftModel, sim: SimConfig):
+    T0 = max(cfg.adiabatic.t0, abs(sim.t_start), abs(sim.t_end))
     return build_frame(model, cfg.sim.epsilon, T0,
                        grid_step=cfg.adiabatic.grid_step,
                        branch=cfg.adiabatic.branch)
 
 
-def _init_field(cfg: RunConfig, model: DriftModel, spec: TorusSpec,
-                t_start: float, frame) -> SpectralField:
-    init = cfg.sim.init
+def _init_field(cfg: RunConfig, model: DriftModel, sim: SimConfig,
+                frame) -> SpectralField:
+    init, spec = cfg.sim.init, sim.spec
     if init == "zero":
         return SpectralField.zero(spec)
     if init.startswith("const:"):
         return SpectralField.constant(spec, float(init[6:]))
     if init == "adiabatic":
-        return SpectralField.constant(spec, frame.phibar_at(t_start))
-    bs = equilibrium_branches(model, t_start)
-    roots = [r for r, s in zip(bs.roots, bs.stability) if s is Stability.STABLE]
-    if not roots:
-        raise ConfigError(f"no stable equilibrium at t={t_start} for init=branch")
-    root = max(roots) if cfg.adiabatic.branch == "upper" else min(roots)
+        return SpectralField.constant(spec, frame.phibar_at(sim.t_start))
+    try:
+        root = equilibrium_branches(model, sim.t_start).root(cfg.adiabatic.branch)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} for init=branch") from None
     return SpectralField.constant(spec, root)
 
 
@@ -208,28 +229,23 @@ def cmd_adiabatic(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     model = build_model(cfg)
-    spec = _torus(cfg)
-    t_start, t_end, dt = _resolve_times(cfg)
-    frame = _build_frame(cfg, model, t_start, t_end) if _needs_frame(cfg) else None
-    init = _init_field(cfg, model, spec, t_start, frame)
-    sim = SimConfig(eps=cfg.sim.epsilon, sigma=cfg.sim.sigma, dt=dt, spec=spec,
-                    t_start=t_start, t_end=t_end, s_monitor=cfg.sim.s_monitor,
-                    seed=seed, record_stride=cfg.sim.record_stride,
-                    stop_on_d0=cfg.sim.stop_on_d0)
-    rec = simulate(sim, model, init, _exits(cfg), frame)
+    sim = _sim_config(cfg, seed)
+    exits = _exits(cfg)
+    frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
+    init = _init_field(cfg, model, sim, frame)
+    rec = simulate_batch(sim, model, init, exits, frame)[0]
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "phi0", "perp_hs"],
-               zip(rec.t_samples, rec.phi0, rec.perp_hs))
+               zip(sim.record_times(), rec["phi0"], rec["perp_hs"]))
     manifest = Manifest("simulate", cfg, seed)
     manifest.add_output(path)
-    manifest.data["extras"]["hitting_times"] = {
-        "tau_b0": rec.tau_b0, "tau_bperp": rec.tau_bperp, "tau_b": rec.tau_b,
-        "tau_minus_d": rec.tau_minus_d, "tau_minus_d0": rec.tau_minus_d0,
-    }
-    manifest.data["extras"]["failed"] = rec.failed
-    manifest.data["extras"]["terminal_phi0"] = rec.terminal_phi0
+    extras = manifest.data["extras"]
+    extras["hitting_times"] = {name: float(rec[name]) for name in (
+        "tau_b0", "tau_bperp", "tau_b", "tau_minus_d", "tau_minus_d0")}
+    extras["failed"] = bool(rec["failed"])
+    extras["terminal_phi0"] = float(rec["terminal_phi0"])
     manifest.write(out_dir / "simulate_manifest.json")
-    if rec.failed:
+    if rec["failed"]:
         raise NonFinite("trajectory blew up; observables written up to failure")
     return EXIT_OK
 
@@ -264,8 +280,7 @@ def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
         return event_probability(batch, event, horizon), exits
     model = (normal_form(delta, cfg.model.cubic, cfg.model.a1)
              if cfg.model.kind == "normal-form" else build_model(cfg))
-    spec = _torus(cfg)
-    t_start, t_end, dt = _resolve_times(cfg)
+    sim = _sim_config(cfg, seed, sigma)
     exits = _exits(cfg)
     if h is not None:
         field_by_event = {ExitEvent.EXIT_B: "h_stable", ExitEvent.EXIT_B0: "h",
@@ -273,47 +288,50 @@ def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
         name = field_by_event.get(event)
         if name is not None:
             exits = dataclasses.replace(exits, **{name: float(h)})
-    sim = SimConfig(eps=cfg.sim.epsilon, sigma=sigma, dt=dt, spec=spec,
-                    t_start=t_start, t_end=t_end, s_monitor=cfg.sim.s_monitor,
-                    seed=seed, record_stride=cfg.sim.record_stride,
-                    stop_on_d0=cfg.sim.stop_on_d0)
-    needs_frame = exits.h is not None or cfg.sim.init == "adiabatic"
-    frame = _build_frame(cfg, model, t_start, t_end) if needs_frame else None
-    init = _init_field(cfg, model, spec, t_start, frame)
+    frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
+    init = _init_field(cfg, model, sim, frame)
     batch = run_batch(sim, model, init, exits, frame, n)
-    horizon = cfg.mc.horizon if cfg.mc.horizon is not None else t_end
+    horizon = cfg.mc.horizon if cfg.mc.horizon is not None else sim.t_end
     return event_probability(batch, event, horizon), exits
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     cells = _sweep_cells(cfg)
+    keys = [f"{idx}:{_fmt(delta)}|{_fmt(sigma)}|{_fmt(h)}"
+            for idx, (delta, sigma, h) in enumerate(cells)]
     path = out_dir / "sweep.csv"
     man_path = out_dir / "sweep_manifest.json"
     manifest = Manifest("sweep", cfg, seed)
     completed: list = []
     cell_seeds: dict = {}
     if resume and man_path.exists() and path.exists():
-        old = json.loads(man_path.read_text())
-        completed = old.get("extras", {}).get("completed_cells", [])
-        cell_seeds = old.get("extras", {}).get("cell_seeds", {})
-        if old.get("master_seed") != seed or len(completed) > len(cells):
+        try:
+            old = json.loads(man_path.read_text(encoding="utf-8"))
+            completed = list(old.get("extras", {}).get("completed_cells", []))
+            cell_seeds = dict(old.get("extras", {}).get("cell_seeds", {}))
+        except (OSError, ValueError, AttributeError, TypeError) as exc:
+            raise ConfigError(f"--resume: cannot read {man_path}: {exc}") from None
+        if old.get("master_seed") != seed or completed != keys[:len(completed)]:
             raise ConfigError("--resume manifest does not match this run")
         manifest.data["started_at"] = old.get("started_at",
                                               manifest.data["started_at"])
+        # a run killed between appending a row and rewriting the manifest
+        # left rows of cells the manifest does not list; drop them
+        lines = path.read_bytes().splitlines(keepends=True)
+        if len(lines) < 1 + len(completed):
+            raise ConfigError(f"--resume: {path} has fewer rows than the manifest")
+        _replace_file(path, b"".join(lines[:1 + len(completed)]))
     else:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerow(_SWEEP_HEADER)
 
+    extras = manifest.data["extras"]
+    extras["completed_cells"] = completed
+    extras["cell_seeds"] = cell_seeds
     budget = cfg.sweep.max_cells
-    done_now = 0
-    for idx, (delta, sigma, h) in enumerate(cells):
-        key = f"{idx}:{_fmt(delta)}|{_fmt(sigma)}|{_fmt(h)}"
-        if idx < len(completed):
-            if completed[idx] != key:
-                raise ConfigError("--resume grid does not match the manifest")
-            continue
-        if budget is not None and done_now >= budget:
-            break
+    end = len(cells) if budget is None else min(len(cells), len(completed) + budget)
+    for idx in range(len(completed), end):
+        delta, sigma, h = cells[idx]
         cell_seed = derive_seed(seed, idx)
         stats, exits = _sweep_cell_stats(cfg, float(delta), float(sigma), h,
                                          cell_seed)
@@ -321,17 +339,12 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
             csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in (
                 delta, cfg.sim.epsilon, sigma, h, exits.h_perp, stats.n,
                 stats.p_hat, stats.ci_low, stats.ci_high, stats.event.value)])
-        completed.append(key)
-        cell_seeds[key] = cell_seed
-        done_now += 1
-        manifest.data["extras"]["completed_cells"] = completed
-        manifest.data["extras"]["cell_seeds"] = cell_seeds
+        completed.append(keys[idx])
+        cell_seeds[keys[idx]] = cell_seed
         manifest.add_output(path)
         manifest.write(man_path)
 
-    manifest.data["extras"]["completed_cells"] = completed
-    manifest.data["extras"]["cell_seeds"] = cell_seeds
-    manifest.data["extras"]["all_done"] = len(completed) == len(cells)
+    extras["all_done"] = len(completed) == len(cells)
     manifest.add_output(path)
     manifest.write(man_path)
     return EXIT_OK
@@ -438,12 +451,8 @@ def cmd_variance_check(cfg: RunConfig, out_dir: Path, seed: int,
                        resume: bool) -> int:
     if cfg.model.kind != "linear":
         raise ConfigError("[model] kind: variance-check needs the linear model")
-    spec = _torus(cfg)
-    t_start, t_end, dt = _resolve_times(cfg)
-    sim = SimConfig(eps=cfg.sim.epsilon, sigma=cfg.sim.sigma, dt=dt, spec=spec,
-                    t_start=t_start, t_end=t_end, s_monitor=cfg.sim.s_monitor,
-                    seed=seed, record_stride=cfg.sim.record_stride)
-    rows, c0 = mode_variance_report(sim, cfg.mc.n, cfg.mc.k_max, a=cfg.model.a)
+    rows, c0 = mode_variance_report(_sim_config(cfg, seed), cfg.mc.n,
+                                    cfg.mc.k_max, a=cfg.model.a)
     path = out_dir / "variance.csv"
     _write_csv(path, ["k", "mu_k", "var_final", "se_final", "var_sup",
                       "exact_var", "ratio_sup", "bound", "c0_fit"],

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, get_args, get_origin
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
-           "serialize_config", "load_config"]
+           "serialize_config"]
 
 
 class ConfigError(ValueError):
@@ -179,6 +179,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[sim] epsilon: must be > 0")
     if cfg.sim.sigma < 0:
         raise ConfigError("[sim] sigma: must be >= 0")
+    if cfg.sim.dt is not None and not 0.0 < cfg.sim.dt <= cfg.sim.epsilon:
+        raise ConfigError("[sim] dt: must satisfy 0 < dt <= epsilon")
+    if cfg.sim.record_stride < 1:
+        raise ConfigError("[sim] record_stride: must be >= 1")
     if not 0.0 < cfg.sim.s_monitor < 0.5:
         raise ConfigError("[sim] s_monitor: must lie in (0, 1/2)")
     if cfg.mc.event not in ("exit-b", "exit-b0", "exit-bperp", "cross-minus-d",
@@ -224,7 +228,3 @@ def parse_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=path)
-
-
-def load_config(path: str) -> RunConfig:
-    return parse_config(path)

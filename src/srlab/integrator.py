@@ -22,6 +22,14 @@ fails (non-finite) leaves the batch's working set after that step, and its
 noise streams are not advanced further.  Each stream belongs to one
 (trajectory, mode) pair and every row's update is independent of the other
 rows, so this cannot change any other trajectory's bits.
+
+``simulate_batch`` is the one engine and its structured array the one outcome
+record, one row per trajectory: ``traj`` (global index), the hitting times
+``tau_b0, tau_bperp, tau_b, tau_minus_d, tau_minus_d0`` (inf when not hit),
+``failed`` (non-finite) and ``terminal_phi0`` (the last finite mean-mode
+value).  With ``collect_series`` a row also carries ``phi0`` and ``perp_hs``
+at ``SimConfig.record_times()``, and ``fields`` (coefficients per recorded
+time) with ``record_fields``.  A single path is ``traj_indices=(i,)``, row 0.
 """
 
 from __future__ import annotations
@@ -39,11 +47,8 @@ from .spectral import (SpectralField, TorusSpec, batch_from_physical,
 __all__ = [
     "SimConfig",
     "ExitSpec",
-    "TrajectoryRecord",
     "NonFinite",
     "noise_increment_std",
-    "step",
-    "simulate",
     "simulate_batch",
     "simulate_linear_mode",
 ]
@@ -93,6 +98,10 @@ class SimConfig:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
+    def record_times(self) -> np.ndarray:
+        """Times of the recorded series: every ``record_stride``-th step time."""
+        return self.times()[::self.record_stride]
+
     def digest_payload(self) -> dict:
         return {"eps": self.eps, "sigma": self.sigma, "dt": self.dt,
                 "L": self.spec.L, "K": self.spec.K, "n_grid": self.spec.n_grid,
@@ -132,23 +141,17 @@ class ExitSpec:
                 for k in ("h", "h_perp", "h_stable", "d_level", "d0_level")}
 
 
-@dataclass
-class TrajectoryRecord:
-    """Observables and hitting times of one sample path."""
-
-    t_samples: np.ndarray
-    phi0: np.ndarray
-    perp_hs: np.ndarray
-    tau_b0: float = np.inf
-    tau_bperp: float = np.inf
-    tau_b: float = np.inf
-    tau_minus_d: float = np.inf
-    tau_minus_d0: float = np.inf
-    seed: int = 0
-    traj_index: int = 0
-    failed: bool = False
-    terminal_phi0: float = np.nan
-    field_samples: Optional[np.ndarray] = None
+_OUTCOME_FIELDS = [
+    ("traj", np.int64),
+    ("tau_b0", np.float64),
+    ("tau_bperp", np.float64),
+    ("tau_b", np.float64),
+    ("tau_minus_d", np.float64),
+    ("tau_minus_d0", np.float64),
+    ("failed", np.bool_),
+    ("terminal_phi0", np.float64),
+]
+_TAU_NAMES = ("tau_b0", "tau_bperp", "tau_b", "tau_minus_d", "tau_minus_d0")
 
 
 def noise_increment_std(k: int, dt: float, eps: float, sigma: float,
@@ -179,32 +182,10 @@ def _step_factors(cfg: SimConfig):
     return decay, psi, cfg.sigma * np.sqrt(var)
 
 
-def step(state: SpectralField, t: float, cfg: SimConfig, model: DriftModel,
-         streams: Sequence[np.random.Generator]) -> SpectralField:
-    """One exponential Euler step from time t; raises NonFinite on blow-up.
-
-    ``streams`` holds one generator per mode in k = -K..K order; exactly one
-    normal is drawn from each (none when sigma = 0).
-    """
-    if state.spec != cfg.spec:
-        raise ValueError("state cutoff does not match the configuration")
-    decay, psi, noise_std = _step_factors(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = model.f(t, batch_to_physical(state.coeffs, cfg.spec))
-        drift = batch_from_physical(np.asarray(vals, dtype=float), cfg.spec)
-        new = decay * state.coeffs + psi * drift
-    if cfg.sigma > 0:
-        xi = np.array([g.standard_normal() for g in streams])
-        new = new + noise_std * xi
-    if not np.all(np.isfinite(new)):
-        raise NonFinite(f"non-finite coefficient after step at t={t}")
-    return SpectralField(cfg.spec, new)
-
-
 def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
                    exits: Optional[ExitSpec], frame=None,
                    traj_indices: Sequence[int] = (0,),
-                   collect_series: bool = True) -> dict:
+                   collect_series: bool = True) -> np.ndarray:
     """Vectorised integration of several trajectories (identical initial data).
 
     Per-trajectory noise comes from streams keyed by (cfg.seed, trajectory
@@ -212,8 +193,9 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     grouped into batches.  The working arrays hold active trajectories only:
     a row that reaches -d0 (with ``stop_on_d0``) or blows up leaves them
     after that step, and each working row writes its outcomes back to its
-    original position.  Returns a dict of per-trajectory outcome arrays plus
-    (optionally) the recorded observable series.
+    original position.  Returns the outcome record (module docstring), one
+    row per entry of ``traj_indices``, with the series when
+    ``collect_series``.
     """
     spec = cfg.spec
     if init.spec != spec:
@@ -249,27 +231,33 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
         ref_perp[i0] = 0.0
         ref_perp_zero = not np.any(ref_perp)
 
+    series = []
+    if collect_series:
+        n_rec = n_steps // cfg.record_stride + 1
+        series = [("phi0", np.float64, (n_rec,)), ("perp_hs", np.float64, (n_rec,))]
+        if cfg.record_fields:
+            series.append(("fields", np.float64, (n_rec, spec.n_modes)))
+    # the loop writes through views of these columns; every row is either
+    # retired or still working at the end, so terminal_phi0 is always set
+    out = np.zeros(n_traj, dtype=_OUTCOME_FIELDS + series)
+    out["traj"] = traj_indices
+    for name in _TAU_NAMES:
+        out[name] = np.inf
+    for name, _, _ in series:
+        out[name] = np.nan
+    tau_b0, tau_bperp, tau_b, tau_d, tau_d0 = (out[name] for name in _TAU_NAMES)
+    failed, terminal_phi0 = out["failed"], out["terminal_phi0"]
+
     state = np.tile(init.coeffs, (n_traj, 1))
     rows = np.arange(n_traj)   # original position of each working row
-    failed = np.zeros(n_traj, dtype=bool)
-    inf = np.inf
-    tau_b0 = np.full(n_traj, inf)
-    tau_bperp = np.full(n_traj, inf)
-    tau_b = np.full(n_traj, inf)
-    tau_d = np.full(n_traj, inf)
-    tau_d0 = np.full(n_traj, inf)
     v0 = state[:, i0] / sqrt_l
-    terminal_phi0 = v0.copy()
 
-    n_rec = n_steps // cfg.record_stride + 1
     if collect_series:
-        rec_phi0 = np.full((n_traj, n_rec), np.nan)
-        rec_perp = np.full((n_traj, n_rec), np.nan)
-        rec_t = times[::cfg.record_stride][:n_rec]
+        rec_phi0, rec_perp = out["phi0"], out["perp_hs"]
         rec_phi0[:, 0] = v0
         rec_perp[:, 0] = np.sqrt(np.sum(w_perp * state**2, axis=-1))
         if cfg.record_fields:
-            rec_fields = np.full((n_traj, n_rec, spec.n_modes), np.nan)
+            rec_fields = out["fields"]
             rec_fields[:, 0, :] = state
 
     noise = (_streams.BlockNormals(cfg.seed, traj_indices, spec.wavenumbers,
@@ -354,47 +342,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
                 if cfg.record_fields:
                     rec_fields[rows, ridx, :] = state
     terminal_phi0[rows] = v0
-
-    out = {
-        "traj_indices": np.asarray(traj_indices, dtype=np.int64),
-        "tau_b0": tau_b0, "tau_bperp": tau_bperp, "tau_b": tau_b,
-        "tau_minus_d": tau_d, "tau_minus_d0": tau_d0,
-        "failed": failed, "terminal_phi0": terminal_phi0,
-    }
-    if collect_series:
-        out["t_samples"] = rec_t
-        out["phi0"] = rec_phi0
-        out["perp_hs"] = rec_perp
-        if cfg.record_fields:
-            out["fields"] = rec_fields
     return out
-
-
-def simulate(cfg: SimConfig, model: DriftModel, init: SpectralField,
-             exits: Optional[ExitSpec] = None, frame=None,
-             traj_index: int = 0) -> TrajectoryRecord:
-    """One sample path with online exit detection.
-
-    A blow-up does not raise here: the trajectory is marked failed and its
-    record truncated (``step`` raises NonFinite for single-step use).
-    """
-    res = simulate_batch(cfg, model, init, exits, frame,
-                         traj_indices=(traj_index,), collect_series=True)
-    return TrajectoryRecord(
-        t_samples=res["t_samples"],
-        phi0=res["phi0"][0],
-        perp_hs=res["perp_hs"][0],
-        tau_b0=float(res["tau_b0"][0]),
-        tau_bperp=float(res["tau_bperp"][0]),
-        tau_b=float(res["tau_b"][0]),
-        tau_minus_d=float(res["tau_minus_d"][0]),
-        tau_minus_d0=float(res["tau_minus_d0"][0]),
-        seed=cfg.seed,
-        traj_index=traj_index,
-        failed=bool(res["failed"][0]),
-        terminal_phi0=float(res["terminal_phi0"][0]),
-        field_samples=res.get("fields", [None])[0] if cfg.record_fields else None,
-    )
 
 
 def simulate_linear_mode(k: int, a_of_t: Callable, cfg: SimConfig,

@@ -23,7 +23,7 @@ import numpy as np
 from . import _streams
 from .adiabatic import AdiabaticFrame
 from .integrator import ExitSpec, SimConfig, simulate_batch, simulate_linear_mode
-from .model import DriftModel, Stability, equilibrium_branches, normal_form
+from .model import DriftModel, equilibrium_branches, normal_form
 from .spectral import SpectralField, TorusSpec
 
 __all__ = [
@@ -148,18 +148,6 @@ def _digest(cfg: SimConfig, model: DriftModel, exits: ExitSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-_OUTCOME_DTYPE = np.dtype([
-    ("traj", np.int64),
-    ("tau_b0", np.float64),
-    ("tau_bperp", np.float64),
-    ("tau_b", np.float64),
-    ("tau_minus_d", np.float64),
-    ("tau_minus_d0", np.float64),
-    ("failed", np.bool_),
-    ("terminal_phi0", np.float64),
-])
-
-
 def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
               exits: Optional[ExitSpec], frame: Optional[AdiabaticFrame],
               n: int, n_workers: Optional[int] = None) -> BatchResult:
@@ -184,16 +172,7 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     else:
         results = [work(c) for c in chunks]
 
-    out = np.empty(n, dtype=_OUTCOME_DTYPE)
-    pos = 0
-    for res in results:
-        m = len(res["traj_indices"])
-        sl = slice(pos, pos + m)
-        out["traj"][sl] = res["traj_indices"]
-        for name in ("tau_b0", "tau_bperp", "tau_b", "tau_minus_d",
-                     "tau_minus_d0", "failed", "terminal_phi0"):
-            out[name][sl] = res[name]
-        pos += m
+    out = np.concatenate(results)
     failures = tuple(int(i) for i in out["traj"][out["failed"]])
     return BatchResult(n=n, outcomes=out, cfg_digest=_digest(cfg, model, exits),
                        master_seed=cfg.seed, failures=failures)
@@ -238,16 +217,6 @@ def fit_line(x: Sequence[float], y: Sequence[float]) -> FitResult:
                      points=tuple(zip(x.tolist(), y.tolist())))
 
 
-def _stable_start_field(model: DriftModel, t: float, spec: TorusSpec,
-                        branch: str = "upper") -> SpectralField:
-    bs = equilibrium_branches(model, t)
-    roots = [r for r, s in zip(bs.roots, bs.stability) if s is Stability.STABLE]
-    if not roots:
-        raise ValueError(f"no stable equilibrium at t={t}")
-    root = max(roots) if branch == "upper" else min(roots)
-    return SpectralField.constant(spec, root)
-
-
 def concentration_fit(model: DriftModel, cfg_base: SimConfig,
                       exits_template: ExitSpec, h_values: Sequence[float],
                       n: int, init: Optional[SpectralField] = None,
@@ -264,7 +233,8 @@ def concentration_fit(model: DriftModel, cfg_base: SimConfig,
     if max(h_values) < 2.0 * min(h_values):
         raise ValueError("h_values should span at least a factor 2")
     if init is None:
-        init = _stable_start_field(model, cfg_base.t_start, cfg_base.spec)
+        init = SpectralField.constant(
+            cfg_base.spec, equilibrium_branches(model, cfg_base.t_start).root())
     pts, details = [], []
     for h in h_values:
         exits = replace(exits_template, h_stable=float(h))
@@ -286,11 +256,9 @@ def _default_levels(model: DriftModel, delta: float, eps: float, T0: float,
     gaps = []
     for t in np.linspace(-T0, T0, 17):
         bs = equilibrium_branches(model, t, bracket=bracket)
-        stab = [r for r, s in zip(bs.roots, bs.stability) if s is Stability.STABLE]
-        unst = [r for r, s in zip(bs.roots, bs.stability) if s is Stability.UNSTABLE]
-        if stab and unst:
-            up = max(stab)
-            below = [r for r in unst if r < up]
+        if bs.stable_roots():
+            up = bs.root()
+            below = [r for r in bs.unstable_roots() if r < up]
             if below:
                 gaps.append(up - max(below))
     if not gaps:
@@ -329,7 +297,7 @@ def transition_study(model: Optional[DriftModel], delta: float, eps: float,
     if exits is None:
         d, d0 = _default_levels(model, delta, eps, T0)
         exits = ExitSpec(d_level=d, d0_level=d0, h_perp=h_perp)
-    init = _stable_start_field(model, cfg.t_start, spec)
+    init = SpectralField.constant(spec, equilibrium_branches(model, cfg.t_start).root())
     batch = run_batch(cfg, model, init, exits, None, n, n_workers)
     return batch, cfg, exits
 

@@ -219,6 +219,14 @@ class BranchSet:
     def unstable_roots(self) -> list[float]:
         return [r for r, s in zip(self.roots, self.stability) if s is Stability.UNSTABLE]
 
+    def root(self, branch: str = "upper", stable: bool = True) -> float:
+        """The upper or lower stable (or unstable) root; ValueError if none."""
+        roots = self.stable_roots() if stable else self.unstable_roots()
+        if not roots:
+            kind = "stable" if stable else "unstable"
+            raise ValueError(f"no {kind} equilibrium at t={self.t}")
+        return max(roots) if branch == "upper" else min(roots)
+
 
 def _polish_root(g, lo: float, hi: float, maxit: int = 80) -> float:
     """Bisection to near-convergence, then secant steps; g(lo), g(hi) straddle 0."""

@@ -3,11 +3,12 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from srlab.cli import main
+from srlab.cli import Manifest, main
 from srlab.config import ConfigError, parse_config_text, serialize_config
 
 BASE = """
@@ -71,6 +72,10 @@ class TestConfig:
         cfg = parse_config_text("[sim]\ndt =\n")
         assert cfg.sim.dt is None
 
+    def test_record_stride_must_be_positive(self):
+        with pytest.raises(ConfigError, match=r"\[sim\] record_stride"):
+            parse_config_text("[sim]\nrecord_stride = 0\n")
+
     def test_tuple_values(self):
         cfg = parse_config_text("[sweep]\nsigma_values = 0.1, 0.2, 0.4\n")
         assert cfg.sweep.sigma_values == (0.1, 0.2, 0.4)
@@ -98,6 +103,20 @@ class TestExitCodes:
         cfg.sim.record_stride = 50
         path = write_cfg(tmp_path, serialize_config(cfg))
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_dt_above_epsilon_is_1(self, tmp_path, capsys, command):
+        text = SWEEP.replace("epsilon = 0.001", "epsilon = 0.001\ndt = 0.01")
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "[sim] dt" in err and "Traceback" not in err
+
+    def test_branch_init_without_stable_root_is_1(self, tmp_path, capsys):
+        # f = phi has one, unstable, equilibrium
+        path = write_cfg(tmp_path, "[model]\nkind = linear\na = 1.0\n")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "no stable equilibrium" in capsys.readouterr().err
 
     def test_bracket_failure_is_3(self, tmp_path):
         text = BASE + """
@@ -297,6 +316,48 @@ class TestSweepCommand:
             (full_dir / "sweep.csv").read_bytes()
         man = json.loads((part_dir / "sweep_manifest.json").read_text())
         assert man["extras"]["all_done"] is True
+
+    def test_resume_drops_row_written_after_last_manifest(self, tmp_path):
+        # a run killed between appending a row and rewriting the manifest
+        full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+        path_full = write_cfg(tmp_path, SWEEP, "full.ini")
+        assert main(["sweep", "--config", path_full, "--out", str(full_dir)]) == 0
+        path_part = write_cfg(tmp_path, SWEEP + "max_cells = 1\n", "part.ini")
+        assert main(["sweep", "--config", path_part, "--out", str(part_dir)]) == 0
+        with open(part_dir / "sweep.csv", "a") as fh:
+            fh.write("0.04,stray,row\n")
+        assert main(["sweep", "--config", path_full, "--out", str(part_dir),
+                     "--resume"]) == 0
+        assert (part_dir / "sweep.csv").read_bytes() == \
+            (full_dir / "sweep.csv").read_bytes()
+
+    def test_resume_with_truncated_manifest_is_1(self, tmp_path, capsys):
+        path_part = write_cfg(tmp_path, SWEEP + "max_cells = 1\n", "part.ini")
+        assert main(["sweep", "--config", path_part, "--out", str(tmp_path)]) == 0
+        man_path = tmp_path / "sweep_manifest.json"
+        text = man_path.read_text()
+        man_path.write_text(text[:len(text) // 2])
+        assert main(["sweep", "--config", path_part, "--out", str(tmp_path),
+                     "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "--resume" in err and "Traceback" not in err
+
+    def test_manifest_write_is_atomic(self, tmp_path, monkeypatch):
+        # a write that dies before the rename leaves the old manifest whole
+        path = tmp_path / "m.json"
+        manifest = Manifest("sweep", parse_config_text(SWEEP), 1)
+        manifest.write(path)
+        before = path.read_bytes()
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        manifest.data["extras"]["completed_cells"] = ["x" * 10000]
+        with pytest.raises(KeyboardInterrupt):
+            manifest.write(path)
+        assert path.read_bytes() == before
+        assert json.loads(before)["command"] == "sweep"
 
     def test_worker_env_does_not_change_results(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, SWEEP)

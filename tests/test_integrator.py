@@ -7,10 +7,8 @@ import pytest
 from scipy import stats
 
 from srlab import _streams
-from srlab._streams import mode_stream, trajectory_streams
-from srlab.integrator import (ExitSpec, NonFinite, SimConfig, noise_increment_std,
-                              simulate, simulate_batch, simulate_linear_mode,
-                              step)
+from srlab.integrator import (ExitSpec, SimConfig, noise_increment_std,
+                              simulate_batch, simulate_linear_mode)
 from srlab.model import custom_drift, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec, hs_weights
 
@@ -48,44 +46,49 @@ class TestNoiseIncrementStd:
 
 
 class TestStep:
+    """Single exponential Euler steps, as 1-3 step runs of the batch engine."""
+
     def test_pure_heat_decay(self):
         spec = TorusSpec(1.0, 4)
-        cfg = make_cfg(spec, sigma=0.0)
-        st = SpectralField.basis(spec, 1)
-        out = step(st, 0.0, cfg, zero_drift(), trajectory_streams(0, 0, spec.wavenumbers))
-        assert out.coeff(1) == pytest.approx(np.exp(-np.pi**2 * cfg.dt / cfg.eps))
+        cfg = make_cfg(spec, sigma=0.0, t_end=5e-4, record_fields=True)
+        rec = simulate_batch(cfg, zero_drift(), SpectralField.basis(spec, 1), None)[0]
+        assert rec["fields"][-1, spec.index_of(1)] == pytest.approx(
+            np.exp(-np.pi**2 * cfg.dt / cfg.eps))
 
     def test_scalar_exponential_one_step(self):
         # k=0 mode of f=-phi: update 1 + a dt/eps matches exp within O((dt/eps)^2)
         spec = TorusSpec(1.0, 0, 8)
-        cfg = make_cfg(spec, sigma=0.0, dt=2e-4)
-        st = SpectralField.basis(spec, 0)
-        out = step(st, 0.0, cfg, linear_drift(-1.0),
-                   trajectory_streams(0, 0, spec.wavenumbers))
+        cfg = make_cfg(spec, sigma=0.0, dt=2e-4, t_end=2e-4, record_fields=True)
+        rec = simulate_batch(cfg, linear_drift(-1.0), SpectralField.basis(spec, 0),
+                             None)[0]
         theta = cfg.dt / cfg.eps
-        assert abs(out.coeff(0) - np.exp(-theta)) <= 0.6 * theta**2
+        assert abs(rec["fields"][-1, spec.index_of(0)] - np.exp(-theta)) <= 0.6 * theta**2
 
-    def test_nonfinite_raises(self):
+    def test_nonfinite_marks_failed(self):
         spec = TorusSpec(1.0, 2)
-        cfg = make_cfg(spec, sigma=0.0)
+        cfg = make_cfg(spec, sigma=0.0, t_end=2 * 5e-4)
         blow = custom_drift(lambda t, p: np.full_like(np.asarray(p, dtype=float), 1e308))
-        st = SpectralField.constant(spec, 1.0)
-        with pytest.raises(NonFinite):
-            step(step(st, 0.0, cfg, blow, []), 0.0, cfg, blow, [])
+        rec = simulate_batch(cfg, blow, SpectralField.constant(spec, 1.0), None)[0]
+        assert rec["failed"]
+        assert np.isfinite(rec["terminal_phi0"])
 
-    def test_matches_batch_engine_bitwise(self):
+    def test_single_steps_match_stride_bitwise(self):
+        # recording after every step must not change the arithmetic: the
+        # first step equals a 1-step run, and the third a stride-3 run
         spec = TorusSpec(1.0, 4)
-        cfg = make_cfg(spec, sigma=0.08, t_end=0.5)
         model = normal_form(0.04)
         init = SpectralField.constant(spec, 0.2)
-        streams = trajectory_streams(cfg.seed, 0, spec.wavenumbers)
-        manual = init
-        for n in range(3):
-            manual = step(manual, cfg.t_start + n * cfg.dt, cfg, model, streams)
-        cfg3 = make_cfg(spec, sigma=0.08, t_end=3 * cfg.dt, record_stride=3)
-        res = simulate_batch(cfg3, model, init, None, None, traj_indices=[0],
-                             collect_series=True)
-        assert res["phi0"][0][-1] == manual.coeff(0)
+
+        def run(n_steps, stride):
+            cfg = make_cfg(spec, sigma=0.08, t_end=n_steps * 5e-4,
+                           record_stride=stride, record_fields=True)
+            return simulate_batch(cfg, model, init, None)[0]
+
+        every = run(3, 1)
+        for one, step_i in ((run(1, 1), 1), (run(3, 3), 3)):
+            assert one["phi0"][-1] == every["phi0"][step_i]
+            assert one["fields"][-1].tobytes() == every["fields"][step_i].tobytes()
+        assert every["terminal_phi0"] == every["phi0"][3]
 
 
 class TestStationaryVariance:
@@ -112,7 +115,7 @@ class TestStationaryVariance:
         res = simulate_batch(cfg, zero_drift(), SpectralField.zero(spec),
                              None, None, traj_indices=range(n))
         fields = res["fields"]  # (n, n_rec, modes)
-        t_rec = res["t_samples"]
+        t_rec = cfg.record_times()
         for k in (0, 1, 2):
             mu = (k * np.pi) ** 2
             idx = spec.index_of(k)
@@ -146,19 +149,19 @@ class TestSimulateExits:
     def test_deterministic_run_never_exits(self):
         spec = TorusSpec(1.0, 4)
         cfg = make_cfg(spec, sigma=0.0, t_end=0.2)
-        rec = simulate(cfg, linear_drift(-1.0), SpectralField.zero(spec),
-                       ExitSpec(h_perp=1.0, h_stable=1.0, d_level=0.5,
-                                d0_level=1.0))
-        assert np.isinf([rec.tau_bperp, rec.tau_b, rec.tau_minus_d,
-                         rec.tau_minus_d0]).all()
-        assert not rec.failed
+        rec = simulate_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
+                             ExitSpec(h_perp=1.0, h_stable=1.0, d_level=0.5,
+                                      d0_level=1.0))[0]
+        assert np.isinf([rec["tau_bperp"], rec["tau_b"], rec["tau_minus_d"],
+                         rec["tau_minus_d0"]]).all()
+        assert not rec["failed"]
 
     def test_tiny_transverse_tube_exits_immediately(self):
         spec = TorusSpec(1.0, 4)
         cfg = make_cfg(spec, sigma=0.05)
-        rec = simulate(cfg, zero_drift(), SpectralField.zero(spec),
-                       ExitSpec(h_perp=1e-8))
-        assert rec.tau_bperp <= cfg.t_start + 5 * cfg.dt
+        rec = simulate_batch(cfg, zero_drift(), SpectralField.zero(spec),
+                             ExitSpec(h_perp=1e-8))[0]
+        assert rec["tau_bperp"] <= cfg.t_start + 5 * cfg.dt
 
     def test_exit_probability_decreases_with_radius(self):
         spec = TorusSpec(1.0, 2)
@@ -195,18 +198,18 @@ class TestSimulateExits:
         spec = TorusSpec(1.0, 4)
         cfg = make_cfg(spec, sigma=0.05, t_end=0.2, record_stride=1)
         h = 0.04
-        rec = simulate(cfg, zero_drift(), SpectralField.zero(spec),
-                       ExitSpec(h_perp=h))
-        if np.isfinite(rec.tau_bperp):
-            before = rec.t_samples < rec.tau_bperp - cfg.dt / 2
-            assert np.all(rec.perp_hs[before] < h)
+        rec = simulate_batch(cfg, zero_drift(), SpectralField.zero(spec),
+                             ExitSpec(h_perp=h))[0]
+        if np.isfinite(rec["tau_bperp"]):
+            before = cfg.record_times() < rec["tau_bperp"] - cfg.dt / 2
+            assert np.all(rec["perp_hs"][before] < h)
 
     def test_b0_monitor_requires_frame(self):
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec)
         with pytest.raises(ValueError):
-            simulate(cfg, linear_drift(-1.0), SpectralField.zero(spec),
-                     ExitSpec(h=1.0), frame=None)
+            simulate_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
+                           ExitSpec(h=1.0), frame=None)
 
 
 class TestBatchDeterminism:

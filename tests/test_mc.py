@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import srlab.mc as mc
-from srlab.integrator import ExitSpec, SimConfig, simulate
+from srlab.integrator import ExitSpec, SimConfig, simulate_batch
 from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                       ExitStatistics, UnknownEvent, concentration_fit,
                       event_probability, fit_line, mode_variance_report,
@@ -59,10 +59,13 @@ class TestRunBatch:
     def test_single_trajectory_matches_simulate(self, setup):
         cfg, model, init, exits = setup
         batch = run_batch(cfg, model, init, exits, None, n=1)
-        rec = simulate(cfg, model, init, exits, None, traj_index=0)
-        assert batch.outcomes["tau_b"][0] == rec.tau_b
-        assert batch.outcomes["tau_bperp"][0] == rec.tau_bperp
-        assert batch.outcomes["terminal_phi0"][0] == rec.terminal_phi0
+        rec = simulate_batch(cfg, model, init, exits, None, traj_indices=(0,),
+                             collect_series=False)
+        assert batch.outcomes["tau_b"][0] == rec["tau_b"][0]
+        assert batch.outcomes["tau_bperp"][0] == rec["tau_bperp"][0]
+        assert batch.outcomes["terminal_phi0"][0] == rec["terminal_phi0"][0]
+        # the batch outcome is the engine's record itself
+        assert batch.outcomes.tobytes() == rec.tobytes()
 
     def test_worker_count_invariance(self, setup):
         cfg, model, init, exits = setup
