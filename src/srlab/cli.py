@@ -166,11 +166,18 @@ def _needs_frame(cfg: RunConfig, exits: ExitSpec) -> bool:
     return exits.h is not None or cfg.sim.init == "adiabatic"
 
 
-def _build_frame(cfg: RunConfig, model: DriftModel, sim: SimConfig):
-    T0 = max(cfg.adiabatic.t0, abs(sim.t_start), abs(sim.t_end))
-    return build_frame(model, cfg.sim.epsilon, T0,
-                       grid_step=cfg.adiabatic.grid_step,
-                       branch=cfg.adiabatic.branch)
+def _build_frame(cfg: RunConfig, model: DriftModel,
+                 sim: Optional[SimConfig] = None):
+    """The adiabatic frame on [-t0, t0], widened to cover ``sim``'s times."""
+    T0 = cfg.adiabatic.t0
+    if sim is not None:
+        T0 = max(T0, abs(sim.t_start), abs(sim.t_end))
+    try:
+        return build_frame(model, cfg.sim.epsilon, T0,
+                           grid_step=cfg.adiabatic.grid_step,
+                           branch=cfg.adiabatic.branch)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} for the adiabatic frame") from None
 
 
 def _init_field(cfg: RunConfig, model: DriftModel, sim: SimConfig,
@@ -213,10 +220,7 @@ def cmd_branches(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
 
 
 def cmd_adiabatic(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
-    model = build_model(cfg)
-    frame = build_frame(model, cfg.sim.epsilon, cfg.adiabatic.t0,
-                        grid_step=cfg.adiabatic.grid_step,
-                        branch=cfg.adiabatic.branch)
+    frame = _build_frame(cfg, build_model(cfg))
     cols = frame.columns()
     rows = zip(*[cols[name] for name in FRAME_COLUMNS])
     path = out_dir / "adiabatic.csv"

@@ -183,6 +183,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[sim] dt: must satisfy 0 < dt <= epsilon")
     if cfg.sim.record_stride < 1:
         raise ConfigError("[sim] record_stride: must be >= 1")
+    step = cfg.adiabatic.grid_step
+    if step is not None and not 0.0 < step <= cfg.sim.epsilon / 4:
+        raise ConfigError("[adiabatic] grid_step: must satisfy 0 < grid_step <= epsilon/4")
     if not 0.0 < cfg.sim.s_monitor < 0.5:
         raise ConfigError("[sim] s_monitor: must lie in (0, 1/2)")
     if cfg.mc.event not in ("exit-b", "exit-b0", "exit-bperp", "cross-minus-d",

@@ -12,6 +12,16 @@ product with weight L/n_grid on the uniform grid x_j = 2L j / n_grid covering
 one full period.  All physical-space sampling below uses that grid, which
 makes projection exact on the cutoff space whenever n_grid >= 2K+1.
 
+Grid transforms take one of two paths, chosen from the cutoff alone.  At
+K <= DENSE_MAX_K a batch is multiplied by the cached real basis matrices
+``TorusSpec.synthesis`` (e_k(x_j)) and ``TorusSpec.analysis`` (its
+quadrature-weighted transpose) in BLAS, which releases the GIL, so worker
+threads overlap; above it numpy's irfft/rfft pair is used.  The dense product
+runs in zero-padded blocks of DENSE_BLOCK rows, so every row goes through the
+same gemm kernel and its bits do not depend on how many rows share the call.
+They do depend on the BLAS build and the CPU: reproducible on one machine,
+not across machines.
+
 The H^s norm is ||phi||_{H^s}^2 = sum_k <k>^{2s} phi_k^2 with the Japanese
 bracket <k> = (1 + k^2)^{1/2}.
 """
@@ -37,6 +47,16 @@ __all__ = [
     "batch_to_physical",
     "batch_from_physical",
 ]
+
+# Largest cutoff whose transforms use the dense basis matrices, whose cost
+# grows as K^2 against the FFT's K log K.  On 512-trajectory transition
+# batches at 1 and 2 workers the dense pair was faster at K = 16 to 32, even
+# at K = 48, and slower from K = 64 on (twice as slow at K = 96).
+DENSE_MAX_K = 32
+# Rows per gemm call in the dense transforms, a multiple of the row tiles of
+# x86 dgemm kernels, so every row of a block takes the same kernel path
+# (checked row by row in tests/test_spectral.py).
+DENSE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,25 @@ class TorusSpec:
     def quad_weight(self) -> float:
         """Quadrature weight making the discrete basis inner product delta_jk."""
         return self.L / self.n_grid
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """(n_modes, n_grid) matrix of e_k(x_j); coeffs @ synthesis samples a field."""
+        k = self.wavenumbers[:, None]
+        j = np.arange(self.n_grid)
+        # k pi x_j / L = 2 pi k j / n_grid, reduced exactly in integers
+        angle = 2.0 * np.pi * ((k * j) % self.n_grid) / self.n_grid
+        m = np.where(k > 0, np.cos(angle), np.sin(angle)) * np.sqrt(2.0 / self.L)
+        m[self.K] = 1.0 / np.sqrt(self.L)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        """(n_grid, n_modes) quadrature projection; values @ analysis = coeffs."""
+        m = np.ascontiguousarray(self.synthesis.T * self.quad_weight)
+        m.flags.writeable = False
+        return m
 
     def index_of(self, k: int) -> int:
         if not -self.K <= k <= self.K:
@@ -181,13 +220,54 @@ def hs_norm(fld: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * fld.coeffs**2)))
 
 
+def _rows_product(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """a @ matrix over the last axis, with bits per row that do not depend on
+    how many rows there are.
+
+    BLAS rounds a row differently depending on the product's shape: numpy
+    sends one row to gemv, and gemm's kernels treat edge rows and large
+    products differently.  So the rows go through zero-padded blocks of
+    DENSE_BLOCK rows, one gemm of the same shape each.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    n, m = rows.shape
+    blocks = -(-n // DENSE_BLOCK)
+    padded = np.empty((blocks * DENSE_BLOCK, m))
+    padded[:n] = rows
+    padded[n:] = 0.0
+    out = padded.reshape(blocks, DENSE_BLOCK, m) @ matrix
+    return out.reshape(-1, matrix.shape[1])[:n].reshape(a.shape[:-1] + matrix.shape[1:])
+
+
 def batch_to_physical(coeffs: np.ndarray, spec: TorusSpec) -> np.ndarray:
     """Sample fields on the grid; coeffs shape (..., 2K+1) -> (..., n_grid).
 
     Exact (up to roundoff) for cutoff-K fields since the grid resolves the
-    full basis period.
+    full basis period.  Dense product at K <= DENSE_MAX_K, irfft above.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    if spec.K <= DENSE_MAX_K:
+        return _rows_product(coeffs, spec.synthesis)
+    return _irfft_synthesis(coeffs, spec)
+
+
+def batch_from_physical(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
+    """Project grid samples onto the basis; (..., n_grid) -> (..., 2K+1).
+
+    Quadrature projection with weight L/n_grid; exact on the cutoff space
+    for n_grid >= 2K+1.  Dense product at K <= DENSE_MAX_K, rfft above.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != spec.n_grid:
+        raise ValueError(
+            f"expected {spec.n_grid} samples, got {values.shape[-1]}")
+    if spec.K <= DENSE_MAX_K:
+        return _rows_product(values, spec.analysis)
+    return _rfft_analysis(values, spec)
+
+
+def _irfft_synthesis(coeffs: np.ndarray, spec: TorusSpec) -> np.ndarray:
+    """FFT form of batch_to_physical: pack the coefficients, one irfft."""
     K, n, L = spec.K, spec.n_grid, spec.L
     nbins = n // 2 + 1
     spec_c = np.zeros(coeffs.shape[:-1] + (nbins,), dtype=complex)
@@ -200,16 +280,8 @@ def batch_to_physical(coeffs: np.ndarray, spec: TorusSpec) -> np.ndarray:
     return np.fft.irfft(spec_c, n=n, axis=-1)
 
 
-def batch_from_physical(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Project grid samples onto the basis; (..., n_grid) -> (..., 2K+1).
-
-    Quadrature projection with weight L/n_grid; exact on the cutoff space
-    for n_grid >= 2K+1.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != spec.n_grid:
-        raise ValueError(
-            f"expected {spec.n_grid} samples, got {values.shape[-1]}")
+def _rfft_analysis(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
+    """FFT form of batch_from_physical: one rfft, unpack the coefficients."""
     K, n, L = spec.K, spec.n_grid, spec.L
     spec_c = np.fft.rfft(values, axis=-1)
     coeffs = np.empty(values.shape[:-1] + (spec.n_modes,))

@@ -118,6 +118,23 @@ class TestExitCodes:
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
         assert "no stable equilibrium" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "adiabatic"])
+    def test_frame_without_stable_root_is_1(self, tmp_path, capsys, command):
+        # [exits] h needs the adiabatic frame; f = phi has no stable branch
+        text = ("[model]\nkind = linear\na = 1.0\n\n[sim]\ninit = zero\n\n"
+                "[exits]\nh = 1.0\n\n[mc]\nn = 4\nevent = exit-b0\n")
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "no stable equilibrium" in err and "adiabatic frame" in err
+
+    @pytest.mark.parametrize("grid_step", ["0.01", "0.0"])
+    def test_grid_step_outside_range_is_1(self, tmp_path, capsys, grid_step):
+        text = BASE + f"grid_step = {grid_step}\n"   # BASE ends in [adiabatic]
+        path = write_cfg(tmp_path, text)
+        assert main(["adiabatic", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "[adiabatic] grid_step" in capsys.readouterr().err
+
     def test_bracket_failure_is_3(self, tmp_path):
         text = BASE + """
 [threshold]

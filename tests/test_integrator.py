@@ -67,7 +67,9 @@ class TestStep:
     def test_nonfinite_marks_failed(self):
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.0, t_end=2 * 5e-4)
-        blow = custom_drift(lambda t, p: np.full_like(np.asarray(p, dtype=float), 1e308))
+        # step 1 takes phi from 1 to ~5e298; step 2's drift overflows under
+        # any exact transform
+        blow = custom_drift(lambda t, p: 1e300 * np.asarray(p, dtype=float))
         rec = simulate_batch(cfg, blow, SpectralField.constant(spec, 1.0), None)[0]
         assert rec["failed"]
         assert np.isfinite(rec["terminal_phi0"])

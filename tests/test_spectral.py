@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlab.spectral import (SpectralField, TorusSpec, basis_eval,
+from srlab import spectral
+from srlab.spectral import (DENSE_MAX_K, SpectralField, TorusSpec, basis_eval,
+                            batch_from_physical, batch_to_physical,
                             from_physical, hs_norm, laplacian_eigenvalue,
                             mean_transverse_split, sup_norm_estimate,
                             to_physical)
@@ -119,6 +121,56 @@ class TestTransforms:
                       for k in range(-spec.K, spec.K + 1)])
         gram = G @ G.T * spec.quad_weight
         np.testing.assert_allclose(gram, np.eye(spec.n_modes), atol=1e-10)
+
+
+class TestBatchTransforms:
+    """Both transform paths: dense basis matrices at K <= DENSE_MAX_K, FFT above."""
+
+    # transform, its basis matrix, its FFT form
+    DIRECTIONS = {"to": (batch_to_physical, "synthesis", spectral._irfft_synthesis),
+                  "from": (batch_from_physical, "analysis", spectral._rfft_analysis)}
+
+    def batch(self, spec, direction, rows=256, seed=0):
+        width = spec.n_modes if direction == "to" else spec.n_grid
+        rng = np.random.default_rng(seed)
+        # magnitudes over several decades, so rounding differences show
+        return rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4, (rows, width))
+
+    @pytest.mark.parametrize("direction", ["to", "from"])
+    @pytest.mark.parametrize("K", [0, 4, DENSE_MAX_K, DENSE_MAX_K + 8])
+    def test_row_bits_do_not_depend_on_row_count(self, K, direction):
+        sp = TorusSpec(1.0, K)
+        transform = self.DIRECTIONS[direction][0]
+        data = self.batch(sp, direction)
+        full = transform(data, sp)
+        for n in (1, 2, 3, 7, 17, 64, 190, 256):
+            assert transform(data[:n], sp).tobytes() == full[:n].tobytes(), n
+            assert transform(data[-n:], sp).tobytes() == full[-n:].tobytes(), n
+        assert transform(np.asfortranarray(data[5:22]), sp).tobytes() == full[5:22].tobytes()
+        for i in (0, 100, 255):
+            assert transform(data[i], sp).tobytes() == full[i].tobytes(), i
+        assert transform(data.reshape(16, 16, -1), sp).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("direction", ["to", "from"])
+    @pytest.mark.parametrize("K", [0, 4, 16, DENSE_MAX_K])
+    def test_dense_matches_fft_reference(self, K, direction):
+        assert K <= DENSE_MAX_K
+        sp = TorusSpec(1.0, K)
+        transform, matrix, reference = self.DIRECTIONS[direction]
+        data = self.batch(sp, direction, seed=K + 1)
+        # float64 bound on a row's length-m sums of products, taken row-wise
+        # (the FFT mixes every input into every output): m * eps * max|b| *
+        # sum |a_i|, with a factor 4 for the two paths' rounding together
+        m = data.shape[1]
+        scale = np.abs(getattr(sp, matrix)).max() * np.abs(data).sum(axis=1, keepdims=True)
+        bound = 4 * m * np.finfo(float).eps * scale
+        err = np.abs(transform(data, sp) - reference(data, sp))
+        assert np.all(err <= bound)
+
+    def test_basis_matrices_are_readonly(self, spec):
+        for m in (spec.synthesis, spec.analysis):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
 
 
 class TestSplitAndSup:
