@@ -12,15 +12,16 @@ product with weight L/n_grid on the uniform grid x_j = 2L j / n_grid covering
 one full period.  All physical-space sampling below uses that grid, which
 makes projection exact on the cutoff space whenever n_grid >= 2K+1.
 
-Grid transforms take one of two paths, chosen from the cutoff alone.  At
-K <= DENSE_MAX_K a batch is multiplied by the cached real basis matrices
+Grid transforms are products with the cached real basis matrices
 ``TorusSpec.synthesis`` (e_k(x_j)) and ``TorusSpec.analysis`` (its
-quadrature-weighted transpose) in BLAS, which releases the GIL, so worker
-threads overlap; above it numpy's irfft/rfft pair is used.  The dense product
-runs in zero-padded blocks of DENSE_BLOCK rows, so every row goes through the
-same gemm kernel and its bits do not depend on how many rows share the call.
-They do depend on the BLAS build and the CPU: reproducible on one machine,
-not across machines.
+quadrature-weighted transpose), run by BLAS, which releases the GIL, so
+worker threads overlap.  A row costs O(n_modes * n_grid) against the FFT's
+O(n_grid log n_grid): on transition batches with the default grid, faster
+than numpy's rfft/irfft pair up to K = 32, about even at K = 48 and slower
+from K = 64 on.  The product runs in zero-padded blocks of DENSE_BLOCK rows,
+so every row goes through the same gemm kernel and its bits do not depend on
+how many rows share the call.  They do depend on the BLAS build and the CPU:
+reproducible on one machine, not across machines.
 
 The H^s norm is ||phi||_{H^s}^2 = sum_k <k>^{2s} phi_k^2 with the Japanese
 bracket <k> = (1 + k^2)^{1/2}.
@@ -48,12 +49,7 @@ __all__ = [
     "batch_from_physical",
 ]
 
-# Largest cutoff whose transforms use the dense basis matrices, whose cost
-# grows as K^2 against the FFT's K log K.  On 512-trajectory transition
-# batches at 1 and 2 workers the dense pair was faster at K = 16 to 32, even
-# at K = 48, and slower from K = 64 on (twice as slow at K = 96).
-DENSE_MAX_K = 32
-# Rows per gemm call in the dense transforms, a multiple of the row tiles of
+# Rows per gemm call in the grid transforms, a multiple of the row tiles of
 # x86 dgemm kernels, so every row of a block takes the same kernel path
 # (checked row by row in tests/test_spectral.py).
 DENSE_BLOCK = 16
@@ -243,54 +239,22 @@ def batch_to_physical(coeffs: np.ndarray, spec: TorusSpec) -> np.ndarray:
     """Sample fields on the grid; coeffs shape (..., 2K+1) -> (..., n_grid).
 
     Exact (up to roundoff) for cutoff-K fields since the grid resolves the
-    full basis period.  Dense product at K <= DENSE_MAX_K, irfft above.
+    full basis period.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if spec.K <= DENSE_MAX_K:
-        return _rows_product(coeffs, spec.synthesis)
-    return _irfft_synthesis(coeffs, spec)
+    return _rows_product(np.asarray(coeffs, dtype=float), spec.synthesis)
 
 
 def batch_from_physical(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
     """Project grid samples onto the basis; (..., n_grid) -> (..., 2K+1).
 
     Quadrature projection with weight L/n_grid; exact on the cutoff space
-    for n_grid >= 2K+1.  Dense product at K <= DENSE_MAX_K, rfft above.
+    for n_grid >= 2K+1.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1] != spec.n_grid:
         raise ValueError(
             f"expected {spec.n_grid} samples, got {values.shape[-1]}")
-    if spec.K <= DENSE_MAX_K:
-        return _rows_product(values, spec.analysis)
-    return _rfft_analysis(values, spec)
-
-
-def _irfft_synthesis(coeffs: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """FFT form of batch_to_physical: pack the coefficients, one irfft."""
-    K, n, L = spec.K, spec.n_grid, spec.L
-    nbins = n // 2 + 1
-    spec_c = np.zeros(coeffs.shape[:-1] + (nbins,), dtype=complex)
-    spec_c[..., 0] = coeffs[..., K] * (n / np.sqrt(L))
-    if K >= 1:
-        amp = 0.5 * n * np.sqrt(2.0 / L)
-        cos_part = coeffs[..., K + 1:]                  # k = 1..K
-        sin_part = coeffs[..., K - 1::-1]               # k = -1..-K
-        spec_c[..., 1:K + 1] = amp * (cos_part + 1j * sin_part)
-    return np.fft.irfft(spec_c, n=n, axis=-1)
-
-
-def _rfft_analysis(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """FFT form of batch_from_physical: one rfft, unpack the coefficients."""
-    K, n, L = spec.K, spec.n_grid, spec.L
-    spec_c = np.fft.rfft(values, axis=-1)
-    coeffs = np.empty(values.shape[:-1] + (spec.n_modes,))
-    coeffs[..., K] = spec_c[..., 0].real * (np.sqrt(L) / n)
-    if K >= 1:
-        amp = np.sqrt(2.0 * L) / n
-        coeffs[..., K + 1:] = amp * spec_c[..., 1:K + 1].real
-        coeffs[..., K - 1::-1] = amp * spec_c[..., 1:K + 1].imag
-    return coeffs
+    return _rows_product(values, spec.analysis)
 
 
 def to_physical(fld: SpectralField) -> np.ndarray:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlab import spectral
-from srlab.spectral import (DENSE_MAX_K, SpectralField, TorusSpec, basis_eval,
+from srlab.spectral import (SpectralField, TorusSpec, basis_eval,
                             batch_from_physical, batch_to_physical,
                             from_physical, hs_norm, laplacian_eigenvalue,
                             mean_transverse_split, sup_norm_estimate,
@@ -123,12 +122,39 @@ class TestTransforms:
         np.testing.assert_allclose(gram, np.eye(spec.n_modes), atol=1e-10)
 
 
+def _irfft_synthesis(coeffs, spec):
+    """FFT reference for batch_to_physical: pack the coefficients, one irfft."""
+    K, n, L = spec.K, spec.n_grid, spec.L
+    spec_c = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spec_c[..., 0] = coeffs[..., K] * (n / np.sqrt(L))
+    if K >= 1:
+        amp = 0.5 * n * np.sqrt(2.0 / L)
+        spec_c[..., 1:K + 1] = amp * (coeffs[..., K + 1:] + 1j * coeffs[..., K - 1::-1])
+    return np.fft.irfft(spec_c, n=n, axis=-1)
+
+
+def _rfft_analysis(values, spec):
+    """FFT reference for batch_from_physical: one rfft, unpack the coefficients."""
+    K, n, L = spec.K, spec.n_grid, spec.L
+    spec_c = np.fft.rfft(values, axis=-1)
+    coeffs = np.empty(values.shape[:-1] + (spec.n_modes,))
+    coeffs[..., K] = spec_c[..., 0].real * (np.sqrt(L) / n)
+    if K >= 1:
+        amp = np.sqrt(2.0 * L) / n
+        coeffs[..., K + 1:] = amp * spec_c[..., 1:K + 1].real
+        coeffs[..., K - 1::-1] = amp * spec_c[..., 1:K + 1].imag
+    return coeffs
+
+
 class TestBatchTransforms:
-    """Both transform paths: dense basis matrices at K <= DENSE_MAX_K, FFT above."""
+    """Dense basis-matrix transforms: row independence and the FFT reference."""
 
     # transform, its basis matrix, its FFT form
-    DIRECTIONS = {"to": (batch_to_physical, "synthesis", spectral._irfft_synthesis),
-                  "from": (batch_from_physical, "analysis", spectral._rfft_analysis)}
+    DIRECTIONS = {"to": (batch_to_physical, "synthesis", _irfft_synthesis),
+                  "from": (batch_from_physical, "analysis", _rfft_analysis)}
+    # (K, n_grid): default grids, odd and oversized grids, and a spec whose
+    # 16-row gemm is large enough for BLAS to split it across threads
+    SPECS = [(0, 0), (4, 0), (32, 0), (4, 9), (16, 509), (64, 0)]
 
     def batch(self, spec, direction, rows=256, seed=0):
         width = spec.n_modes if direction == "to" else spec.n_grid
@@ -137,9 +163,9 @@ class TestBatchTransforms:
         return rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4, (rows, width))
 
     @pytest.mark.parametrize("direction", ["to", "from"])
-    @pytest.mark.parametrize("K", [0, 4, DENSE_MAX_K, DENSE_MAX_K + 8])
-    def test_row_bits_do_not_depend_on_row_count(self, K, direction):
-        sp = TorusSpec(1.0, K)
+    @pytest.mark.parametrize("K, n_grid", SPECS)
+    def test_row_bits_do_not_depend_on_row_count(self, K, n_grid, direction):
+        sp = TorusSpec(1.0, K, n_grid)
         transform = self.DIRECTIONS[direction][0]
         data = self.batch(sp, direction)
         full = transform(data, sp)
@@ -152,10 +178,9 @@ class TestBatchTransforms:
         assert transform(data.reshape(16, 16, -1), sp).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("direction", ["to", "from"])
-    @pytest.mark.parametrize("K", [0, 4, 16, DENSE_MAX_K])
-    def test_dense_matches_fft_reference(self, K, direction):
-        assert K <= DENSE_MAX_K
-        sp = TorusSpec(1.0, K)
+    @pytest.mark.parametrize("K, n_grid", [(0, 0), (4, 0), (16, 0)] + SPECS[2:])
+    def test_dense_matches_fft_reference(self, K, n_grid, direction):
+        sp = TorusSpec(1.0, K, n_grid)
         transform, matrix, reference = self.DIRECTIONS[direction]
         data = self.batch(sp, direction, seed=K + 1)
         # float64 bound on a row's length-m sums of products, taken row-wise
