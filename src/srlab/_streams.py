@@ -33,12 +33,6 @@ def mode_stream(master_seed: int, traj_index: int, k: int,
     return np.random.Generator(np.random.Philox(ss))
 
 
-def trajectory_streams(master_seed: int, traj_index: int, wavenumbers,
-                       kind: int = KIND_FIELD) -> list[np.random.Generator]:
-    """One stream per mode, ordered like ``wavenumbers``."""
-    return [mode_stream(master_seed, traj_index, k, kind) for k in wavenumbers]
-
-
 def derive_seed(master_seed: int, tag: int) -> int:
     """Derive a child 64-bit seed (used for bisection probes and sweeps)."""
     ss = np.random.SeedSequence(entropy=int(master_seed),

@@ -83,12 +83,6 @@ class AdiabaticFrame:
     def phihat_at(self, t):
         return self._interp(self.phihat, t, "phihat")
 
-    def abar_at(self, t):
-        return self._interp(self.abar, t, "abar")
-
-    def ahat_at(self, t):
-        return self._interp(self.ahat, t, "ahat")
-
     def zeta_at(self, t):
         return self._interp(self.zeta, t, "zeta")
 

@@ -35,8 +35,8 @@ from .integrator import ExitSpec, NonFinite, SimConfig, simulate_batch
 from .mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                  event_probability, fit_line, mode_variance_report, run_batch,
                  threshold_bisect, transition_study, ExitStatistics)
-from .model import (DriftModel, allen_cahn, equilibrium_branches, linear_drift,
-                    normal_form)
+from .model import (DriftModel, RootBracketExhausted, allen_cahn,
+                    equilibrium_branches, linear_drift, normal_form)
 from .spectral import SpectralField, TorusSpec
 
 EXIT_OK = 0
@@ -514,7 +514,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (NonFinite, StiffnessFailure) as exc:
         print(f"srlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (BracketNotFound, DegeneratePoints) as exc:
+    except (BracketNotFound, DegeneratePoints, RootBracketExhausted) as exc:
         print(f"srlab: {exc}", file=sys.stderr)
         return EXIT_BRACKET
 

@@ -173,6 +173,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.model.kind not in ("allen-cahn", "normal-form", "linear"):
         raise ConfigError(f"[model] kind: unknown drift kind {cfg.model.kind!r}")
+    # delta is a branch gap only in the normal form; elsewhere it is a label
+    for where, deltas in (("[model] delta", (cfg.model.delta,)),
+                          ("[sweep] delta_values", cfg.sweep.delta_values),
+                          ("[threshold] delta_values", cfg.threshold.delta_values)):
+        if cfg.model.kind == "normal-form" and min(deltas, default=0) < 0:
+            raise ConfigError(f"{where}: branch gaps must be >= 0")
     if cfg.torus.K < 0:
         raise ConfigError("[torus] K: must be >= 0")
     if cfg.sim.epsilon <= 0:

@@ -1,11 +1,11 @@
 """Monte Carlo estimation of exit/transition probabilities and scaling fits.
 
-Batches fan trajectories out over worker threads in fixed-size chunks; since
-every trajectory draws from its own (seed, index, mode) streams, the outcome
-array is bitwise independent of the worker count.  Probabilities carry Wilson
-95% intervals, which behave correctly at the extreme rates these experiments
-live at.  Log-probability and log-threshold fits are plain least squares on
-points with at least five successes.
+Batches fan trajectories out over worker threads in chunks sized by the work
+per step; since every trajectory draws from its own (seed, index, mode)
+streams, the outcomes are bitwise independent of chunking and worker count.
+Probabilities carry Wilson 95% intervals, which behave correctly at the
+extreme rates these experiments live at.  Log-probability and log-threshold
+fits are plain least squares on points with at least five successes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _streams
 from .adiabatic import AdiabaticFrame
+from .config import ConfigError
 from .integrator import ExitSpec, SimConfig, simulate_batch, simulate_linear_mode
 from .model import DriftModel, equilibrium_branches, normal_form
 from .spectral import SpectralField, TorusSpec
@@ -50,9 +51,12 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "SRLAB_WORKERS"
-# Trajectories are always grouped into chunks of this fixed size, independent
-# of the worker count, so parallelism never reorders arithmetic.
-CHUNK_SIZE = 256
+# Target rows x modes per chunk, counting at most _CHUNK_MODES (K=16) modes:
+# a step costs a fixed number of numpy calls whatever its row count, so low-K
+# batches get fewer, longer chunks, while from K=16 up chunks stay 256 rows
+# (smaller ones ran slower in one thread at K=32).  One thread per chunk.
+_CHUNK_MODES = 33
+CHUNK_SIZE = 256 * _CHUNK_MODES
 
 WILSON_Z = 1.96
 MIN_FIT_SUCCESSES = 5
@@ -136,9 +140,12 @@ def _n_workers(n_workers: Optional[int]) -> int:
     if n_workers is not None:
         return max(1, int(n_workers))
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV_VAR}={env!r}: not an integer") from None
 
 
 def _digest(cfg: SimConfig, model: DriftModel, exits: ExitSpec) -> str:
@@ -153,13 +160,15 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
               n: int, n_workers: Optional[int] = None) -> BatchResult:
     """n independent trajectories with per-trajectory derived seeds.
 
-    Deterministic given cfg.seed: the chunk layout is fixed and each
-    trajectory's noise streams are keyed by its global index.
+    Deterministic given cfg.seed: each trajectory's noise streams are keyed
+    by its global index, so no chunk layout or worker count changes a bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     exits = exits or ExitSpec()
-    chunks = [range(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
+    work_rows = n * min(cfg.spec.n_modes, _CHUNK_MODES)
+    n_chunks = min(n, -(-work_rows // CHUNK_SIZE))
+    chunks = [range(n * i // n_chunks, n * (i + 1) // n_chunks) for i in range(n_chunks)]
 
     def work(idx_range):
         return simulate_batch(cfg, model, init, exits, frame,

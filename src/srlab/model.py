@@ -109,9 +109,6 @@ class DriftModel:
             raise UnsupportedModel(f"{self.kind.value} drift carries no potential")
         return self._potential(t, phi)
 
-    def has_potential(self) -> bool:
-        return self._potential is not None
-
     def digest_payload(self) -> dict:
         """Stable description for hashing into batch digests."""
         return {"kind": self.kind.value,

@@ -135,6 +135,36 @@ class TestExitCodes:
         assert main(["adiabatic", "--config", path, "--out", str(tmp_path)]) == 1
         assert "[adiabatic] grid_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,text,field", [
+        ("sweep", BASE.replace("delta = 0.04", "delta = -1.0"), "[model] delta"),
+        ("sweep", BASE + "\n[sweep]\ndelta_values = 0.04, -0.01\n",
+         "[sweep] delta_values"),
+        ("threshold", BASE + "\n[threshold]\ndelta_values = -0.01\n",
+         "[threshold] delta_values")], ids=["model", "sweep", "threshold"])
+    def test_negative_delta_is_1(self, tmp_path, capsys, command, text, field):
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_negative_delta_is_a_label_off_the_normal_form(self):
+        text = BASE.replace("normal-form", "linear").replace("delta = 0.04",
+                                                              "delta = -1.0")
+        assert parse_config_text(text).model.delta == -1.0
+
+    def test_non_integer_worker_env_is_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SRLAB_WORKERS", "abc")
+        path = write_cfg(tmp_path, SWEEP)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "SRLAB_WORKERS='abc'" in capsys.readouterr().err
+
+    def test_branches_outside_root_bracket_is_3(self, tmp_path, capsys):
+        # delta = 10 puts the branches +-sqrt(delta + t^2) outside the
+        # root bracket [-3, 3]
+        path = write_cfg(tmp_path, BASE.replace("delta = 0.04", "delta = 10.0"))
+        assert main(["branches", "--config", path, "--out", str(tmp_path)]) == 3
+        assert "no root" in capsys.readouterr().err
+
     def test_bracket_failure_is_3(self, tmp_path):
         text = BASE + """
 [threshold]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import srlab.mc as mc
+from srlab.config import ConfigError
 from srlab.integrator import ExitSpec, SimConfig, simulate_batch
 from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                       ExitStatistics, UnknownEvent, concentration_fit,
@@ -74,6 +75,23 @@ class TestRunBatch:
         assert np.array_equal(a.outcomes, b.outcomes)
         assert a.cfg_digest == b.cfg_digest
 
+    def test_worker_count_invariance_over_chunks(self, setup):
+        # n=1000 at K=4 is two default chunks, so 3 workers run two threads
+        cfg, model, init, exits = setup
+        assert -(-1000 * cfg.spec.n_modes // mc.CHUNK_SIZE) == 2
+        a = run_batch(cfg, model, init, exits, None, n=1000, n_workers=1)
+        b = run_batch(cfg, model, init, exits, None, n=1000, n_workers=3)
+        assert a.outcomes.tobytes() == b.outcomes.tobytes()
+
+    def test_worker_env_var_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "abc")
+        with pytest.raises(ConfigError, match="SRLAB_WORKERS='abc'"):
+            mc._n_workers(None)
+        # an explicit count is the caller's argument, not a config value
+        with pytest.raises(ValueError) as info:
+            mc._n_workers("x")
+        assert not isinstance(info.value, ConfigError)
+
     def test_chunk_size_invariance(self, monkeypatch):
         # K=16 transition batch in which about 60% of the paths stop at -d0:
         # rows leave their chunk's working set at different steps, and the
@@ -91,6 +109,59 @@ class TestRunBatch:
             for workers in (1, 2):
                 assert ref.tobytes() == outcomes(chunk, workers).tobytes(), \
                     f"CHUNK_SIZE={chunk}, {workers} workers"
+
+    def test_chunk_size_invariance_in_rows_times_modes(self, monkeypatch):
+        # the batch above with CHUNK_SIZE counted in rows x 33 modes: one
+        # 120-row chunk, 2 x 60 and 3 x 40 rows (several 16-row dense
+        # blocks each) and 8 chunks of 15 rows
+        def outcomes(rows, workers):
+            monkeypatch.setattr(mc, "CHUNK_SIZE", rows * 33)
+            batch, _, _ = transition_study(None, 0.04, 1e-2, 0.15, 120, K=16,
+                                           T0=0.25, seed=8, n_workers=workers)
+            return batch.outcomes
+
+        ref = outcomes(256, 1)
+        for rows in (17, 40, 64, 120):
+            for workers in (1, 2):
+                assert ref.tobytes() == outcomes(rows, workers).tobytes(), \
+                    f"CHUNK_SIZE={rows}*33, {workers} workers"
+
+    @pytest.mark.parametrize("K,n,chunk,sizes", [
+        (0, 400, None, [400]),            # a K=0 sigma*-probe: one step loop
+        (16, 512, None, [256, 256]),      # the K=16 transition batch
+        (16, 400, None, [200, 200]),
+        (32, 200, None, [200]),           # from K=16 up, modes count as 33
+        (64, 300, None, [150, 150]),
+        (4, 11, 20, [2, 2, 2, 2, 3]),     # ceil(11 * 9 / 20) = 5 chunks
+        (16, 7, 17, [1] * 7),             # capped at one row per chunk
+    ])
+    def test_chunk_plan(self, monkeypatch, K, n, chunk, sizes):
+        if chunk is not None:
+            monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
+        spec = TorusSpec(1.0, K)
+        cfg = make_cfg(spec, sigma=0.08, seed=21)
+        calls = []
+
+        def counting(*args, traj_indices, **kw):
+            calls.append(list(traj_indices))
+            return simulate_batch(*args, traj_indices=traj_indices, **kw)
+
+        monkeypatch.setattr(mc, "simulate_batch", counting)
+        plans = {}
+        for workers in (1, 2):
+            calls.clear()
+            batch = run_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
+                              ExitSpec(h_stable=0.12, h_perp=0.5), None, n,
+                              n_workers=workers)
+            plan = sorted(calls)
+            assert [len(c) for c in plan] == sizes
+            modes = min(spec.n_modes, 33)
+            assert len(plan) == min(n, -(-n * modes // mc.CHUNK_SIZE))
+            assert all(c == list(range(c[0], c[-1] + 1)) for c in plan)
+            assert sum(plan, []) == list(range(n))
+            assert batch.outcomes["traj"].tolist() == list(range(n))
+            plans[workers] = plan
+        assert plans[1] == plans[2]
 
     def test_digest_stable_across_reruns(self, setup):
         cfg, model, init, exits = setup
