@@ -7,16 +7,13 @@ intensity separating rare from near-certain transitions between equilibrium
 branches.
 """
 
-from .spectral import (SpectralField, TorusSpec, basis_eval, from_physical,
-                       hs_norm, laplacian_eigenvalue, mean_transverse_split,
-                       sup_norm_estimate, to_physical)
+from .spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
+                       to_physical)
 from .model import (BranchSet, DriftKind, DriftModel, Stability, allen_cahn,
-                    critical_amplitude, custom_drift, drift_apply,
-                    equilibrium_branches, linear_drift, linearization,
-                    normal_form, perp_remainders)
-from .adiabatic import (AdiabaticFrame, alpha_integral, build_frame,
-                        deterministic_pde_track, track_stable, track_unstable,
-                        zeta_solve)
+                    custom_drift, equilibrium_branches, linear_drift,
+                    normal_form)
+from .adiabatic import (AdiabaticFrame, build_frame, deterministic_pde_track,
+                        track_stable, track_unstable, zeta_solve)
 from .integrator import (ExitSpec, NonFinite, SimConfig, noise_increment_std,
                          simulate_linear_mode)
 from .mc import (BatchResult, ExitEvent, ExitStatistics, FitResult,

@@ -32,7 +32,6 @@ __all__ = [
     "track_stable",
     "track_unstable",
     "zeta_solve",
-    "alpha_integral",
     "build_frame",
     "deterministic_pde_track",
     "StiffnessFailure",
@@ -79,9 +78,6 @@ class AdiabaticFrame:
 
     def phibar_at(self, t):
         return self._interp(self.phibar, t, "phibar")
-
-    def phihat_at(self, t):
-        return self._interp(self.phihat, t, "phihat")
 
     def zeta_at(self, t):
         return self._interp(self.zeta, t, "zeta")
@@ -242,23 +238,6 @@ def build_frame(model: DriftModel, eps: float, T0: float,
     if with_zeta:
         fr = replace(fr, zeta=zeta_solve(fr))
     return fr.freeze()
-
-
-def alpha_integral(frame: AdiabaticFrame, t: float, t1: float,
-                   which: str = "bar") -> float:
-    """Integral of the tracked linearisation from t1 to t.
-
-    alpha(t, t1) = int_{t1}^{t} a(u, phi(u)) du from the trapezoidal
-    cumulative sums; additive in the middle argument by construction.
-    """
-    if which == "bar":
-        cum = frame.alphabar_cum
-    elif which == "hat":
-        cum = frame.alphahat_cum
-    else:
-        raise ValueError("which must be 'bar' or 'hat'")
-    return float(frame._interp(cum, t, f"alpha{which}_cum")
-                 - frame._interp(cum, t1, f"alpha{which}_cum"))
 
 
 def deterministic_pde_track(model: DriftModel, eps: float, spec: TorusSpec,

@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from ._streams import derive_seed
 from .adiabatic import FRAME_COLUMNS, StiffnessFailure, build_frame
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import (ConfigError, RunConfig, parse_config, serialize_config,
+                     sim_window)
 from .integrator import ExitSpec, NonFinite, SimConfig, simulate_batch
 from .mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                  event_probability, fit_line, mode_variance_report, run_batch,
@@ -131,15 +132,8 @@ def _torus(cfg: RunConfig) -> TorusSpec:
 
 def _resolve_times(cfg: RunConfig) -> tuple[float, float, float]:
     """(t_start, t_end, dt) with defaults: the bifurcation window or [0, 1]."""
-    s = cfg.sim
-    t0 = cfg.adiabatic.t0
-    if cfg.model.kind == "normal-form":
-        t_start = -t0 if s.t_start is None else s.t_start
-        t_end = t0 if s.t_end is None else s.t_end
-    else:
-        t_start = 0.0 if s.t_start is None else s.t_start
-        t_end = 1.0 if s.t_end is None else s.t_end
-    dt = s.epsilon / 20 if s.dt is None else s.dt
+    t_start, t_end = sim_window(cfg)
+    dt = cfg.sim.epsilon / 20 if cfg.sim.dt is None else cfg.sim.dt
     n = max(1, int(round((t_end - t_start) / dt)))
     return t_start, t_start + n * dt, dt
 
@@ -502,6 +496,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else EXIT_CONFIG
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.sim.seed

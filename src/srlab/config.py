@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, get_args, get_origin
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
-           "serialize_config"]
+           "serialize_config", "sim_window"]
 
 
 class ConfigError(ValueError):
@@ -170,7 +171,23 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return cfg
 
 
+def sim_window(cfg: RunConfig) -> tuple[float, float]:
+    """[sim] t_start and t_end, by default the normal form's window [-t0, t0]
+    and [0, 1] for the other drifts."""
+    s, t0 = cfg.sim, cfg.adiabatic.t0
+    lo, hi = (-t0, t0) if cfg.model.kind == "normal-form" else (0.0, 1.0)
+    return (lo if s.t_start is None else s.t_start,
+            hi if s.t_end is None else s.t_end)
+
+
 def _validate(cfg: RunConfig):
+    for sf in fields(RunConfig):
+        section = getattr(cfg, sf.name)
+        for f in fields(section):
+            v = getattr(section, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (v if isinstance(v, tuple) else (v,))):
+                raise ConfigError(f"[{sf.name}] {f.name}: must be finite")
     if cfg.model.kind not in ("allen-cahn", "normal-form", "linear"):
         raise ConfigError(f"[model] kind: unknown drift kind {cfg.model.kind!r}")
     # delta is a branch gap only in the normal form; elsewhere it is a label
@@ -179,12 +196,21 @@ def _validate(cfg: RunConfig):
                           ("[threshold] delta_values", cfg.threshold.delta_values)):
         if cfg.model.kind == "normal-form" and min(deltas, default=0) < 0:
             raise ConfigError(f"{where}: branch gaps must be >= 0")
+    if cfg.torus.L <= 0:
+        raise ConfigError("[torus] L: must be > 0")
     if cfg.torus.K < 0:
         raise ConfigError("[torus] K: must be >= 0")
+    if cfg.torus.n_grid != 0 and cfg.torus.n_grid < 2 * cfg.torus.K + 1:
+        raise ConfigError("[torus] n_grid: must be 0 or >= 2K+1")
     if cfg.sim.epsilon <= 0:
         raise ConfigError("[sim] epsilon: must be > 0")
-    if cfg.sim.sigma < 0:
-        raise ConfigError("[sim] sigma: must be >= 0")
+    if min((cfg.sim.sigma,) + cfg.sweep.sigma_values) < 0:
+        raise ConfigError("[sim] sigma, [sweep] sigma_values: must be >= 0")
+    if cfg.sim.seed < 0:
+        raise ConfigError("[sim] seed: must be >= 0")
+    t_start, t_end = sim_window(cfg)
+    if t_end <= t_start:
+        raise ConfigError(f"[sim] t_end: must exceed t_start = {t_start}")
     if cfg.sim.dt is not None and not 0.0 < cfg.sim.dt <= cfg.sim.epsilon:
         raise ConfigError("[sim] dt: must satisfy 0 < dt <= epsilon")
     if cfg.sim.record_stride < 1:
@@ -194,6 +220,17 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[adiabatic] grid_step: must satisfy 0 < grid_step <= epsilon/4")
     if not 0.0 < cfg.sim.s_monitor < 0.5:
         raise ConfigError("[sim] s_monitor: must lie in (0, 1/2)")
+    if cfg.adiabatic.branch not in ("upper", "lower"):
+        raise ConfigError(f"[adiabatic] branch: must be upper or lower, "
+                          f"got {cfg.adiabatic.branch!r}")
+    if min(cfg.mc.n, cfg.threshold.n) < 1:
+        raise ConfigError("[mc] n, [threshold] n: must be >= 1")
+    e = cfg.exits
+    given = [v for v in asdict(e).values() if v is not None]
+    if min(given + list(cfg.sweep.h_values), default=1.0) <= 0:
+        raise ConfigError("[exits], [sweep] h_values: must be > 0")
+    if e.d_level is not None and e.d0_level is not None and e.d0_level <= e.d_level:
+        raise ConfigError("[exits] d0_level: must exceed d_level")
     if cfg.mc.event not in ("exit-b", "exit-b0", "exit-bperp", "cross-minus-d",
                             "reach-minus-d0", "transition"):
         raise ConfigError(f"[mc] event: unknown event {cfg.mc.event!r}")
@@ -202,9 +239,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[sim] init: unknown initial condition {init!r}")
     if init.startswith("const:"):
         try:
-            float(init[6:])
+            finite = math.isfinite(float(init[6:]))
         except ValueError:
-            raise ConfigError(f"[sim] init: bad constant in {init!r}") from None
+            finite = False
+        if not finite:
+            raise ConfigError(f"[sim] init: bad constant in {init!r}")
 
 
 def _format_value(v) -> str:

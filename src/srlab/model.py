@@ -1,4 +1,4 @@
-"""Drift nonlinearities, equilibrium branches, and the bifurcation split system.
+"""Drift nonlinearities and their equilibrium branches.
 
 Built-in drifts:
 
@@ -7,24 +7,22 @@ Built-in drifts:
   collide once per period.
 * bifurcation normal form,  f(t, phi) = (delta + a1 t^2) - phi^2 - cubic phi^3,
   an avoided transcritical point at the origin with gap ~ sqrt(delta).
-* linear / custom drifts for frozen-coefficient studies.
+* linear drift  f(t, phi) = a phi + c  for frozen-coefficient studies.
 
-The mean/transverse decomposition phi = phi0 e_0 + phi_perp turns the normal
-form SPDE into a scalar equation for phi0 coupled to a zero-mean equation for
-phi_perp, with nonlocal remainders b0, b_perp and transverse linearisation
-a(t, phi0); ``perp_remainders`` evaluates those and ``drift_apply`` the plain
-pointwise drift (the two agree when recombined on the unit-length torus).
+A built-in ``DriftModel`` is plain data, a drift kind and its parameters:
+``f`` and ``dfdphi`` dispatch to the kind's module-level functions, so two
+models with the same parameters compare equal and every model pickles.
+``custom_drift`` wraps caller-supplied callables instead.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-from .spectral import SpectralField, batch_from_physical, from_physical, to_physical
 
 __all__ = [
     "DriftKind",
@@ -36,14 +34,8 @@ __all__ = [
     "linear_drift",
     "custom_drift",
     "equilibrium_branches",
-    "linearization",
-    "critical_amplitude",
-    "perp_remainders",
-    "drift_apply",
-    "recentre_allen_cahn",
     "ALLEN_CAHN_CRITICAL",
     "RootBracketExhausted",
-    "UnsupportedModel",
 ]
 
 ALLEN_CAHN_CRITICAL = 2.0 / (3.0 * np.sqrt(3.0))
@@ -57,13 +49,10 @@ class RootBracketExhausted(RuntimeError):
     """No root could be located/polished inside the configured bracket."""
 
 
-class UnsupportedModel(ValueError):
-    """Operation needs analytic structure this drift kind does not carry."""
-
-
 class DriftKind(enum.Enum):
     ALLEN_CAHN = "allen-cahn"
     NORMAL_FORM = "normal-form"
+    LINEAR = "linear"
     CUSTOM = "custom"
 
 
@@ -73,63 +62,75 @@ class Stability(enum.Enum):
     MARGINAL = "marginal"
 
 
+def _allen_cahn_f(t, p, amplitude):
+    return p - p**3 + amplitude * np.cos(t)
+
+
+def _allen_cahn_dfdphi(t, p, amplitude):
+    return 1.0 - 3.0 * p**2
+
+
+def _normal_form_f(t, p, delta, cubic, a1):
+    if cubic == 0.0:
+        return (delta + a1 * t * t) - p * p
+    return (delta + a1 * t * t) - p**2 - cubic * p**3
+
+
+def _normal_form_dfdphi(t, p, delta, cubic, a1):
+    if cubic == 0.0:
+        return -2.0 * p
+    return -2.0 * p - 3.0 * cubic * p**2
+
+
+def _linear_f(t, p, a, c):
+    return a * p + c
+
+
+def _linear_dfdphi(t, p, a, c):
+    return a * np.ones_like(np.asarray(p, dtype=float))
+
+
+# (f, df/dphi) of each built-in kind, called as fn(t, phi, **params)
+_DRIFTS = {
+    DriftKind.ALLEN_CAHN: (_allen_cahn_f, _allen_cahn_dfdphi),
+    DriftKind.NORMAL_FORM: (_normal_form_f, _normal_form_dfdphi),
+    DriftKind.LINEAR: (_linear_f, _linear_dfdphi),
+}
+
+
 @dataclass(frozen=True)
 class DriftModel:
-    """Time-dependent scalar drift f(t, phi) with phi-derivatives.
+    """Time-dependent scalar drift f(t, phi) and its phi-derivative.
 
-    ``degree`` is the polynomial degree of f in phi (2 p0 - 1 for a potential
-    of degree 2 p0); ``bound_m`` bounds the non-polynomial part.  For custom
-    drifts the growth/boundedness assumptions are a caller obligation.
+    Built-in kinds are evaluated from ``params``; a custom drift carries its
+    (f, df/dphi) pair in ``callables`` and uses ``params`` only as a label.
     """
 
     kind: DriftKind
     params: dict = field(default_factory=dict)
-    degree: int = 3
-    bound_m: float = 0.0
-    _f: Callable = field(repr=False, default=None)
-    _dfdphi: Callable = field(repr=False, default=None)
-    _d2fdphi2: Callable = field(repr=False, default=None)
-    _potential: Optional[Callable] = field(repr=False, default=None)
-    # remainder part b(t, phi) of the normal form drift and its derivatives
-    _b: Optional[Callable] = field(repr=False, default=None)
-    _dbdphi: Optional[Callable] = field(repr=False, default=None)
-    _d2bdphi2: Optional[Callable] = field(repr=False, default=None)
+    callables: Optional[tuple] = field(default=None, repr=False)
 
     def f(self, t: float, phi):
-        return self._f(t, phi)
+        if self.callables is not None:
+            return self.callables[0](t, phi)
+        return _DRIFTS[self.kind][0](t, phi, **self.params)
 
     def dfdphi(self, t: float, phi):
-        return self._dfdphi(t, phi)
-
-    def d2fdphi2(self, t: float, phi):
-        return self._d2fdphi2(t, phi)
-
-    def potential(self, t: float, phi):
-        if self._potential is None:
-            raise UnsupportedModel(f"{self.kind.value} drift carries no potential")
-        return self._potential(t, phi)
+        if self.callables is not None:
+            return self.callables[1](t, phi)
+        return _DRIFTS[self.kind][1](t, phi, **self.params)
 
     def digest_payload(self) -> dict:
         """Stable description for hashing into batch digests."""
         return {"kind": self.kind.value,
-                "params": {k: self.params[k] for k in sorted(self.params)},
-                "degree": self.degree, "bound_m": self.bound_m}
+                "params": {k: self.params[k] for k in sorted(self.params)}}
 
 
 def allen_cahn(amplitude: float) -> DriftModel:
     """Slow-time Allen-Cahn drift f(t, phi) = phi - phi^3 + A cos t."""
     if amplitude < 0:
         raise ValueError("forcing amplitude must be >= 0")
-    A = float(amplitude)
-    return DriftModel(
-        kind=DriftKind.ALLEN_CAHN,
-        params={"amplitude": A},
-        degree=3,
-        _f=lambda t, p: p - p**3 + A * np.cos(t),
-        _dfdphi=lambda t, p: 1.0 - 3.0 * p**2,
-        _d2fdphi2=lambda t, p: -6.0 * p,
-        _potential=lambda t, p: 0.25 * p**4 - 0.5 * p**2 - A * np.cos(t) * p,
-    )
+    return DriftModel(DriftKind.ALLEN_CAHN, {"amplitude": float(amplitude)})
 
 
 def normal_form(delta: float, cubic: float = 0.0, a1: float = 1.0) -> DriftModel:
@@ -143,61 +144,28 @@ def normal_form(delta: float, cubic: float = 0.0, a1: float = 1.0) -> DriftModel
         raise ValueError("branch gap delta must be >= 0")
     if a1 <= 0:
         raise ValueError("quadratic-time coefficient a1 must be > 0")
-    d, c, a1 = float(delta), float(cubic), float(a1)
-    if c == 0.0:
-        f = lambda t, p: (d + a1 * t * t) - p * p
-        dfdphi = lambda t, p: -2.0 * p
-        d2fdphi2 = lambda t, p: -2.0 + 0.0 * np.asarray(p, dtype=float)
-    else:
-        f = lambda t, p: (d + a1 * t * t) - p**2 - c * p**3
-        dfdphi = lambda t, p: -2.0 * p - 3.0 * c * p**2
-        d2fdphi2 = lambda t, p: -2.0 - 6.0 * c * p
-    return DriftModel(
-        kind=DriftKind.NORMAL_FORM,
-        params={"delta": d, "cubic": c, "a1": a1},
-        degree=3 if c != 0.0 else 2,
-        _f=f,
-        _dfdphi=dfdphi,
-        _d2fdphi2=d2fdphi2,
-        _potential=lambda t, p: -((d + a1 * t**2) * p - p**3 / 3.0 - c * p**4 / 4.0),
-        _b=lambda t, p: c * p**3,
-        _dbdphi=lambda t, p: 3.0 * c * p**2,
-        _d2bdphi2=lambda t, p: 6.0 * c * p,
-    )
+    return DriftModel(DriftKind.NORMAL_FORM, {
+        "delta": float(delta), "cubic": float(cubic), "a1": float(a1)})
 
 
 def linear_drift(a: float, c: float = 0.0) -> DriftModel:
     """Frozen linear drift f(t, phi) = a phi + c (stable for a < 0)."""
-    a, c = float(a), float(c)
-    return DriftModel(
-        kind=DriftKind.CUSTOM,
-        params={"a": a, "c": c},
-        degree=1,
-        _f=lambda t, p: a * p + c,
-        _dfdphi=lambda t, p: a * np.ones_like(np.asarray(p, dtype=float)),
-        _d2fdphi2=lambda t, p: np.zeros_like(np.asarray(p, dtype=float)),
-        _potential=lambda t, p: -(0.5 * a * p**2 + c * p),
-    )
+    return DriftModel(DriftKind.LINEAR, {"a": float(a), "c": float(c)})
 
 
-def custom_drift(f: Callable, dfdphi: Callable = None, d2fdphi2: Callable = None,
-                 potential: Callable = None, degree: int = 3,
-                 bound_m: float = 0.0, params: dict = None) -> DriftModel:
-    """Wrap a user drift; derivatives default to central finite differences.
+def _central_difference(f, t, p, h=1e-6):
+    return (f(t, p + h) - f(t, p - h)) / (2 * h)
 
-    The polynomial-plus-bounded structure (degree, bounds) is asserted by the
-    caller, not verified.
+
+def custom_drift(f: Callable, dfdphi: Callable = None,
+                 params: dict = None) -> DriftModel:
+    """Wrap a user drift; df/dphi defaults to a central finite difference.
+
+    The model pickles when ``f`` and ``dfdphi`` do (module-level functions).
     """
     if dfdphi is None:
-        h = 1e-6
-        dfdphi = lambda t, p: (f(t, p + h) - f(t, p - h)) / (2 * h)
-    if d2fdphi2 is None:
-        h = 1e-5
-        d2fdphi2 = lambda t, p: (f(t, p + h) - 2.0 * f(t, p) + f(t, p - h)) / h**2
-    return DriftModel(kind=DriftKind.CUSTOM, params=dict(params or {}),
-                      degree=degree, bound_m=bound_m,
-                      _f=f, _dfdphi=dfdphi, _d2fdphi2=d2fdphi2,
-                      _potential=potential)
+        dfdphi = functools.partial(_central_difference, f)
+    return DriftModel(DriftKind.CUSTOM, dict(params or {}), (f, dfdphi))
 
 
 @dataclass(frozen=True)
@@ -318,110 +286,3 @@ def equilibrium_branches(model: DriftModel, t: float, bracket: float = 3.0,
         out_mult.append(m)
     return BranchSet(t=float(t), roots=tuple(out_roots), stability=tuple(out_stab),
                      a_values=tuple(out_a), multiplicity=tuple(out_mult))
-
-
-def linearization(model: DriftModel, t: float, phi: float) -> float:
-    """a = df/dphi at (t, phi)."""
-    return float(model.dfdphi(t, phi))
-
-
-def critical_amplitude(model: DriftModel) -> float:
-    """Forcing value at which stable and unstable branches collide."""
-    if model.kind is DriftKind.ALLEN_CAHN:
-        return ALLEN_CAHN_CRITICAL
-    if model.kind is DriftKind.NORMAL_FORM:
-        return 0.0  # branches collide iff delta = 0 (at t = 0)
-    raise UnsupportedModel("no analytic branch-collision data for custom drift")
-
-
-def drift_apply(model: DriftModel, t: float, fld: SpectralField) -> SpectralField:
-    """Spectral coefficients of x -> f(t, phi(x)), truncated to the cutoff.
-
-    Pointwise evaluation on the physical grid; the default grid size (4K)
-    dealiases the cubic built-in drifts.
-    """
-    vals = model.f(t, to_physical(fld))
-    return from_physical(np.asarray(vals, dtype=float), fld.spec)
-
-
-def perp_remainders(model: DriftModel, t: float, phi0: float,
-                    phiperp: SpectralField) -> tuple[float, float, SpectralField]:
-    """Remainders (b0, a, b_perp) of the mean/transverse split system.
-
-    With phi = phi0 e_0 + phi_perp the drift splits into
-
-        dphi0   ~ g(t) - phi0^2 - b(t, phi0 e_0) + b0(t, phi0, phi_perp)
-        dphiperp~ Lap phi_perp + a(t, phi0) phi_perp + b_perp(...)
-
-    where, writing R for the cubic-and-higher Taylor remainder of b around
-    the constant state,
-
-        b0     = -(1 + d2b/(2L)) ||phi_perp||_{L^2}^2 - <e_0, R>/sqrt(L)
-        a      = -2 phi0 - db/sqrt(L)
-        b_perp = -sqrt(L) (1 + d2b/(2L)) (phi_perp^2 - ||phi_perp||^2/L)
-                 - R/sqrt(L) + <e_0, R>/L .
-
-    On the unit-length torus this is the exact orthogonal projection of the
-    pointwise drift (recombination reproduces ``drift_apply``).
-    """
-    if model.kind is not DriftKind.NORMAL_FORM:
-        raise UnsupportedModel(
-            "perp_remainders needs the normal form (recentre Allen-Cahn first)")
-    spec = phiperp.spec
-    L = spec.L
-    e0 = 1.0 / np.sqrt(L)
-    v0 = phi0 * e0  # pointwise value of the constant part
-
-    b = model._b
-    db = model._dbdphi
-    d2b = model._d2bdphi2
-
-    a = -2.0 * phi0 - db(t, v0) / np.sqrt(L)
-
-    w = to_physical(phiperp)
-    l2sq = float(np.sum(phiperp.coeffs**2))  # Parseval
-    # Taylor remainder of b beyond second order, evaluated exactly pointwise
-    rvals = b(t, v0 + w) - b(t, v0) - db(t, v0) * w - 0.5 * d2b(t, v0) * w**2
-    e0_r = spec.quad_weight * float(np.sum(rvals)) * e0
-
-    curv = 1.0 + d2b(t, v0) / (2.0 * L)
-    b0 = -curv * l2sq - e0_r / np.sqrt(L)
-
-    bp_vals = (-np.sqrt(L) * curv * (w**2 - l2sq / L)
-               - rvals / np.sqrt(L) + e0_r / L)
-    bp = batch_from_physical(bp_vals, spec)
-    bp[spec.index_of(0)] = 0.0  # zero-mean analytically; kill roundoff
-    return float(b0), float(a), SpectralField(spec, bp)
-
-
-def recentre_allen_cahn(amplitude: float) -> dict:
-    """Normal-form data for the Allen-Cahn avoided bifurcation at (t, phi) = (pi, 1/sqrt 3).
-
-    Affine change of variables t = pi + alpha*tbar, phi = 1/sqrt(3) + gamma*phibar
-    (no space rescaling, beta = 1) chosen so the scaled drift reads
-    (delta + tbar^2) - phibar^2 - cubic*phibar^3 with the same epsilon.
-    Returns the scaling constants for the run manifest.
-    """
-    A = float(amplitude)
-    if not 0.0 < A < ALLEN_CAHN_CRITICAL:
-        raise UnsupportedModel("recentring needs 0 < A < A_c")
-    # local expansion f(pi+s, phi_c+u) = delta_raw + (A/2) s^2 - sqrt(3) u^2 - u^3
-    delta_raw = ALLEN_CAHN_CRITICAL - A
-    q = np.sqrt(3.0)                      # -f_phiphi/2 at the centre
-    gamma = (A / (6.0 * np.sqrt(3.0))) ** 0.25
-    alpha = 1.0 / (np.sqrt(3.0) * gamma)  # keeps epsilon unchanged
-    delta = delta_raw / (q * gamma**2)
-    cubic = gamma / q
-    sigma_scale = np.sqrt(alpha) / gamma  # sigma_bar = sigma_scale * sigma
-    return {
-        "t_center": np.pi,
-        "phi_center": 1.0 / np.sqrt(3.0),
-        "alpha": float(alpha),
-        "beta": 1.0,
-        "gamma": float(gamma),
-        "delta": float(delta),
-        "cubic": float(cubic),
-        "a1": 1.0,
-        "eps_scale": 1.0,
-        "sigma_scale": float(sigma_scale),
-    }

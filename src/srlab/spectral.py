@@ -37,14 +37,10 @@ import numpy as np
 __all__ = [
     "TorusSpec",
     "SpectralField",
-    "basis_eval",
-    "laplacian_eigenvalue",
     "hs_norm",
     "hs_weights",
     "to_physical",
     "from_physical",
-    "mean_transverse_split",
-    "sup_norm_estimate",
     "batch_to_physical",
     "batch_from_physical",
 ]
@@ -185,24 +181,6 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def basis_eval(k: int, x, spec: TorusSpec):
-    """Evaluate e_k(x); vectorised over x."""
-    x = np.asarray(x, dtype=float)
-    L = spec.L
-    if k == 0:
-        out = np.full_like(x, 1.0 / np.sqrt(L))
-    elif k > 0:
-        out = np.sqrt(2.0 / L) * np.cos(k * np.pi * x / L)
-    else:
-        out = np.sqrt(2.0 / L) * np.sin(k * np.pi * x / L)
-    return out if out.ndim else float(out)
-
-
-def laplacian_eigenvalue(k: int, spec: TorusSpec) -> float:
-    """Eigenvalue mu_k = k^2 pi^2 / L^2 of -Laplacian on e_k."""
-    return (k * np.pi / spec.L) ** 2
-
-
 def hs_weights(spec: TorusSpec, s: float) -> np.ndarray:
     """Weights <k>^{2s} in storage order."""
     return (1.0 + spec.wavenumbers.astype(float) ** 2) ** s
@@ -265,16 +243,3 @@ def to_physical(fld: SpectralField) -> np.ndarray:
 def from_physical(samples, spec: TorusSpec) -> SpectralField:
     """Spectral projection of grid samples (inverse of to_physical on cutoff fields)."""
     return SpectralField(spec, batch_from_physical(np.asarray(samples, dtype=float), spec))
-
-
-def mean_transverse_split(fld: SpectralField) -> tuple[float, SpectralField]:
-    """Split phi = phi0 e_0 + phi_perp with int phi_perp = 0; exact recombination."""
-    phi0 = fld.coeff(0)
-    c = fld.coeffs.copy()
-    c[fld.spec.index_of(0)] = 0.0
-    return phi0, SpectralField(fld.spec, c)
-
-
-def sup_norm_estimate(fld: SpectralField) -> float:
-    """max_j |phi(x_j)| over the physical grid (sup-norm proxy)."""
-    return float(np.max(np.abs(to_physical(fld))))

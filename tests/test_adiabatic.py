@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from srlab.adiabatic import (OutOfRange, alpha_integral, build_frame,
-                             deterministic_pde_track, track_stable,
-                             track_unstable, zeta_solve)
+from srlab.adiabatic import (OutOfRange, build_frame, deterministic_pde_track,
+                             track_stable, track_unstable, zeta_solve)
 from srlab.model import allen_cahn, custom_drift, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec, hs_norm
 
@@ -13,16 +12,12 @@ from srlab.spectral import SpectralField, TorusSpec, hs_norm
 def frozen_affine():
     # f(t, phi) = -phi + 1: fixed point at 1 with linearisation -1
     return custom_drift(lambda t, p: 1.0 - p,
-                        lambda t, p: -np.ones_like(np.asarray(p, dtype=float)),
-                        lambda t, p: np.zeros_like(np.asarray(p, dtype=float)),
-                        degree=1)
+                        lambda t, p: -np.ones_like(np.asarray(p, dtype=float)))
 
 
 def frozen_quadratic(delta):
     return custom_drift(lambda t, p: delta - p**2,
-                        lambda t, p: -2.0 * p,
-                        lambda t, p: -2.0 * np.ones_like(np.asarray(p, dtype=float)),
-                        degree=2)
+                        lambda t, p: -2.0 * p)
 
 
 class TestTrackStable:
@@ -72,7 +67,7 @@ class TestTrackUnstable:
     def test_normal_form_signs_and_scale(self):
         delta, eps = 0.04, 1e-3
         fr = track_unstable(normal_form(delta), eps, T0=0.2)
-        v = fr.phihat_at(0.0)
+        v = float(np.interp(0.0, fr.t_grid, fr.phihat))
         scale = np.sqrt(max(delta, eps))
         assert v < 0.0
         assert scale <= -v <= 3.0 * scale
@@ -85,8 +80,7 @@ class TestTrackUnstable:
         fr_hat = track_unstable(nf, eps, T0=0.2)
         reversed_model = custom_drift(
             lambda t, p: -nf.f(-t, p),
-            lambda t, p: -nf.dfdphi(-t, p),
-            lambda t, p: -nf.d2fdphi2(-t, p), degree=2)
+            lambda t, p: -nf.dfdphi(-t, p))
         fr_rev = track_stable(reversed_model, eps, T0=0.2, branch="lower")
         np.testing.assert_allclose(fr_rev.phibar[::-1], fr_hat.phihat, atol=1e-8)
 
@@ -99,9 +93,7 @@ class TestZeta:
 
     def test_frozen_rate_two(self):
         m = custom_drift(lambda t, p: -2.0 * p,
-                         lambda t, p: -2.0 * np.ones_like(np.asarray(p, dtype=float)),
-                         lambda t, p: np.zeros_like(np.asarray(p, dtype=float)),
-                         degree=1)
+                         lambda t, p: -2.0 * np.ones_like(np.asarray(p, dtype=float)))
         fr = track_stable(m, 1e-2, T0=0.2, grid_step=1e-3)
         np.testing.assert_allclose(zeta_solve(fr), 0.25, atol=1e-12)
 
@@ -122,35 +114,31 @@ class TestZeta:
 
 
 class TestAlphaIntegral:
+    """The cumulative columns alphabar_cum/alphahat_cum written by
+    ``srlab adiabatic``: the trapezoidal integral of abar/ahat from -T0."""
+
     @pytest.fixture
     def frame(self):
         return build_frame(normal_form(0.04), 1e-3, T0=0.2)
 
     def test_degenerate_interval(self, frame):
-        assert alpha_integral(frame, 0.05, 0.05) == 0.0
+        assert frame.alphabar_cum[0] == 0.0 and frame.alphahat_cum[0] == 0.0
 
     def test_frozen_value(self):
         fr = track_stable(frozen_affine(), 1e-2, T0=0.3, grid_step=1e-3)
-        assert alpha_integral(fr, 0.2, -0.3) == pytest.approx(-0.5, rel=1e-12)
-
-    def test_additivity(self, frame):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            t, s, t1 = sorted(rng.uniform(-0.2, 0.2, size=3))
-            lhs = alpha_integral(frame, t1, t)
-            rhs = alpha_integral(frame, t1, s) + alpha_integral(frame, s, t)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        i = int(np.argmin(np.abs(fr.t_grid - 0.2)))
+        assert fr.alphabar_cum[i] == pytest.approx(-0.5, rel=1e-12)
 
     def test_matches_direct_quadrature(self, frame):
         direct = np.trapezoid(frame.abar, frame.t_grid)
-        assert alpha_integral(frame, 0.2, -0.2) == pytest.approx(direct, rel=1e-10)
+        assert frame.alphabar_cum[-1] == pytest.approx(direct, rel=1e-10)
 
     def test_hat_variant(self, frame):
-        assert alpha_integral(frame, 0.2, -0.2, which="hat") > 0.0
+        assert frame.alphahat_cum[-1] > 0.0
 
     def test_out_of_range(self, frame):
         with pytest.raises(OutOfRange):
-            alpha_integral(frame, 0.3, 0.0)
+            frame.phibar_at(0.3)
 
 
 class TestDeterministicTrack:

@@ -147,6 +147,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,text,args,field", [
+        ("simulate", BASE.replace("seed = 4242", "seed = -3"), [], "[sim] seed"),
+        ("simulate", BASE, ["--seed", "-1"], "--seed"),
+        ("simulate", BASE.replace("K = 4", "K = 4\nL = 0.0"), [], "[torus] L"),
+        ("simulate", BASE.replace("K = 4", "K = 4\nn_grid = 3"), [],
+         "[torus] n_grid"),
+        ("sweep", BASE + "\n[mc]\nn = 0\n", [], "[mc] n"),
+        ("threshold", BASE + "\n[threshold]\ndelta_values = 0.04\nn = 0\n", [],
+         "[threshold] n"),
+        ("simulate", BASE.replace("epsilon = 0.001", "epsilon = inf"), [],
+         "[sim] epsilon"),
+        ("sweep", BASE + "\n[sweep]\nsigma_values = -0.1, 0.05\n", [],
+         "[sweep] sigma_values"),
+        ("simulate", BASE + "\n[exits]\nh_perp = -1.0\n", [], "[exits]"),
+        ("simulate", BASE + "\n[exits]\nd_level = 0.3\nd0_level = 0.2\n", [],
+         "[exits] d0_level"),
+        ("simulate", BASE.replace("seed = 4242", "seed = 4242\ninit = const:inf"),
+         [], "[sim] init"),
+    ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
+            "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
+            "init-inf"])
+    def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
+                                                 text, args, field):
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path)] + args) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,field", [
+        ("simulate", BASE.replace("sigma = 0.05", "sigma = nan"), "[sim] sigma"),
+        ("sweep", BASE + "\n[sweep]\nsigma_values = 0.05, inf\n",
+         "[sweep] sigma_values"),
+        ("simulate", BASE.replace("seed = 4242",
+                                  "seed = 4242\nt_start = 1.0\nt_end = 0.5"),
+         "[sim] t_end"),
+        ("adiabatic", BASE + "branch = middle\n", "[adiabatic] branch"),
+    ], ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
+            "branch-middle"])
+    def test_value_that_ran_silently_is_1(self, tmp_path, capsys, command, text,
+                                          field):
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_negative_delta_is_a_label_off_the_normal_form(self):
         text = BASE.replace("normal-form", "linear").replace("delta = 0.04",
                                                               "delta = -1.0")

@@ -15,8 +15,7 @@ from srlab.spectral import SpectralField, TorusSpec, hs_weights
 
 def zero_drift():
     z = lambda t, p: np.zeros_like(np.asarray(p, dtype=float))
-    return custom_drift(lambda t, p: np.zeros_like(np.asarray(p, dtype=float)),
-                        z, z, degree=1)
+    return custom_drift(z, z)
 
 
 def make_cfg(spec, **kw):

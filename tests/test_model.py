@@ -1,14 +1,20 @@
-"""Drift models: branches, linearisations, remainders, recentring."""
+"""Drift models: branches, linearisations, pointwise application, pickling."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from srlab.model import (ALLEN_CAHN_CRITICAL, DriftKind, Stability,
-                         UnsupportedModel, allen_cahn, critical_amplitude,
-                         custom_drift, drift_apply, equilibrium_branches,
-                         linear_drift, linearization, normal_form,
-                         perp_remainders, recentre_allen_cahn)
-from srlab.spectral import SpectralField, TorusSpec, hs_norm, to_physical
+                         allen_cahn, custom_drift, equilibrium_branches,
+                         linear_drift, normal_form)
+from srlab.spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
+                            to_physical)
+
+
+def projected_drift(model, t, fld):
+    """Spectral coefficients of x -> f(t, phi(x)), as the integrator forms them."""
+    return from_physical(model.f(t, to_physical(fld)), fld.spec)
 
 
 def cubic_roots_oracle(A):
@@ -41,13 +47,9 @@ class TestAllenCahn:
         i = bs.multiplicity.index(2)
         assert bs.roots[i] == pytest.approx(-1.0 / np.sqrt(3.0), abs=1e-6)
 
-    def test_critical_amplitude_value(self):
-        assert critical_amplitude(allen_cahn(0.1)) == pytest.approx(
-            2.0 / (3.0 * np.sqrt(3.0)))
-
     def test_discriminant_vanishes_at_critical(self):
         # disc(-phi^3 + phi + A) = 4 - 27 A^2
-        A = critical_amplitude(allen_cahn(0.0))
+        A = ALLEN_CAHN_CRITICAL
         assert 4.0 - 27.0 * A**2 == pytest.approx(0.0, abs=1e-12)
 
     def test_residuals(self):
@@ -97,22 +99,15 @@ class TestNormalForm:
             a_by_root = dict(zip(bs.roots, bs.a_values))
             assert a_by_root[max(bs.roots)] < 0 < a_by_root[min(bs.roots)]
 
-    def test_critical_amplitude(self):
-        assert critical_amplitude(normal_form(0.2)) == 0.0
-
-    def test_custom_has_no_collision_data(self):
-        with pytest.raises(UnsupportedModel):
-            critical_amplitude(linear_drift(-1.0))
-
 
 class TestLinearization:
     def test_allen_cahn_values(self):
         m = allen_cahn(0.7)
-        assert linearization(m, 0.3, 0.0) == pytest.approx(1.0)
-        assert linearization(m, 0.1, 1.0) == pytest.approx(-2.0)
+        assert m.dfdphi(0.3, 0.0) == pytest.approx(1.0)
+        assert m.dfdphi(0.1, 1.0) == pytest.approx(-2.0)
 
     def test_normal_form_value(self):
-        assert linearization(normal_form(0.5), 0.0, 0.4) == pytest.approx(-0.8)
+        assert normal_form(0.5).dfdphi(0.0, 0.4) == pytest.approx(-0.8)
 
     @pytest.mark.parametrize("model", [allen_cahn(0.3), normal_form(0.02, cubic=0.5),
                                        linear_drift(-0.7, 0.2)])
@@ -121,17 +116,7 @@ class TestLinearization:
         for t in (-0.1, 0.0, 0.8):
             for p in (-1.2, -0.3, 0.0, 0.5, 1.1):
                 fd1 = (model.f(t, p + h) - model.f(t, p - h)) / (2 * h)
-                fd2 = (model.f(t, p + h) - 2 * model.f(t, p) + model.f(t, p - h)) / h**2
                 assert model.dfdphi(t, p) == pytest.approx(fd1, rel=1e-6, abs=1e-6)
-                assert model.d2fdphi2(t, p) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
-
-    @pytest.mark.parametrize("model", [allen_cahn(0.3), normal_form(0.02, cubic=0.5)])
-    def test_drift_is_minus_potential_gradient(self, model):
-        h = 1e-6
-        for t in (0.0, 1.3):
-            for p in (-0.8, 0.1, 0.9):
-                grad = (model.potential(t, p + h) - model.potential(t, p - h)) / (2 * h)
-                assert model.f(t, p) == pytest.approx(-grad, rel=1e-6, abs=1e-8)
 
 
 class TestDriftApply:
@@ -139,109 +124,26 @@ class TestDriftApply:
         spec = TorusSpec(1.0, 5)
         rng = np.random.default_rng(2)
         f = SpectralField(spec, rng.standard_normal(spec.n_modes))
-        out = drift_apply(linear_drift(-1.0), 0.0, f)
+        out = projected_drift(linear_drift(-1.0), 0.0, f)
         np.testing.assert_allclose(out.coeffs, -f.coeffs, atol=1e-12)
 
     def test_constant_equilibrium_maps_to_zero(self):
         spec = TorusSpec(1.0, 4)
         f = SpectralField.constant(spec, 1.0)
-        out = drift_apply(allen_cahn(0.0), 0.0, f)
+        out = projected_drift(allen_cahn(0.0), 0.0, f)
         np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-12)
 
     def test_constant_half(self):
         spec = TorusSpec(2.0, 4)
-        out = drift_apply(allen_cahn(0.0), np.pi / 2, SpectralField.constant(spec, 0.5))
+        out = projected_drift(allen_cahn(0.0), np.pi / 2, SpectralField.constant(spec, 0.5))
         assert out.coeff(0) == pytest.approx(0.375 * np.sqrt(2.0), abs=1e-12)
         assert hs_norm(out, 0.0) == pytest.approx(abs(out.coeff(0)), abs=1e-12)
-
-
-class TestPerpRemainders:
-    def test_vanishing_transverse_part(self):
-        spec = TorusSpec(1.0, 4)
-        model = normal_form(0.02, cubic=0.3)
-        b0, a, bp = perp_remainders(model, 0.1, 0.25, SpectralField.zero(spec))
-        assert b0 == 0.0
-        np.testing.assert_allclose(bp.coeffs, 0.0, atol=1e-14)
-        assert a == pytest.approx(-2 * 0.25 - 3 * 0.3 * 0.25**2)
-
-    def test_single_mode_quadratic_expansion(self):
-        # phi_perp = c e_1 with pure quadratic drift: b0 = -c^2 and the
-        # zero-mean part of -(phi_perp^2 - c^2) is -(c^2/sqrt 2) e_2
-        spec = TorusSpec(1.0, 4)
-        c = 0.7
-        b0, a, bp = perp_remainders(normal_form(0.04), 0.0, 0.3,
-                                    SpectralField.basis(spec, 1, c))
-        assert b0 == pytest.approx(-c * c, rel=1e-12)
-        assert a == pytest.approx(-0.6)
-        assert bp.coeff(2) == pytest.approx(-c * c / np.sqrt(2.0), rel=1e-12)
-        others = [bp.coeff(k) for k in range(-4, 5) if k != 2]
-        np.testing.assert_allclose(others, 0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("cubic", [0.0, 0.4])
-    def test_split_system_reassembles_pointwise_drift(self, cubic):
-        spec = TorusSpec(1.0, 6)
-        model = normal_form(0.03, cubic=cubic)
-        rng = np.random.default_rng(7)
-        for trial in range(5):
-            t = float(rng.uniform(-0.2, 0.2))
-            phi0 = float(rng.uniform(-0.4, 0.4))
-            perp_c = 0.3 * rng.standard_normal(spec.n_modes)
-            perp_c[spec.index_of(0)] = 0.0
-            perp = SpectralField(spec, perp_c)
-            b0, a, bp = perp_remainders(model, t, phi0, perp)
-            full = SpectralField(spec, perp.coeffs
-                                 + phi0 * SpectralField.basis(spec, 0).coeffs)
-            lhs = drift_apply(model, t, full)
-            g = 0.03 + t * t
-            d0 = g - phi0**2 - model._b(t, phi0) + b0
-            rhs = (d0 * SpectralField.basis(spec, 0).coeffs
-                   + a * perp.coeffs + bp.coeffs)
-            assert np.sqrt(np.sum((lhs.coeffs - rhs) ** 2)) <= 1e-8
-
-    def test_requires_normal_form(self):
-        spec = TorusSpec(1.0, 3)
-        with pytest.raises(UnsupportedModel):
-            perp_remainders(allen_cahn(0.2), 0.0, 0.1, SpectralField.zero(spec))
-
-
-class TestRecentring:
-    def test_local_expansion_coefficients(self):
-        A = 0.3
-        model = allen_cahn(A)
-        info = recentre_allen_cahn(A)
-        tc, pc = info["t_center"], info["phi_center"]
-        # f(tc, pc) = A_c - A ; f_phi = 0 ; f_phiphi = -2 sqrt(3) ; f_tt = A
-        assert model.f(tc, pc) == pytest.approx(ALLEN_CAHN_CRITICAL - A, abs=1e-12)
-        assert model.dfdphi(tc, pc) == pytest.approx(0.0, abs=1e-12)
-        assert model.d2fdphi2(tc, pc) == pytest.approx(-2 * np.sqrt(3.0), abs=1e-12)
-        h = 1e-4
-        ftt = (model.f(tc + h, pc) - 2 * model.f(tc, pc) + model.f(tc - h, pc)) / h**2
-        assert ftt == pytest.approx(A, abs=1e-4)
-
-    def test_scaled_drift_matches_normal_form(self):
-        A = 0.32
-        model = allen_cahn(A)
-        info = recentre_allen_cahn(A)
-        nf = normal_form(info["delta"], cubic=info["cubic"])
-        alpha, gamma = info["alpha"], info["gamma"]
-        scale = 1.0 / (np.sqrt(3.0) * gamma**2)
-        for tbar in (-0.2, 0.0, 0.15):
-            for pbar in (-0.3, 0.0, 0.25):
-                orig = model.f(info["t_center"] + alpha * tbar,
-                               info["phi_center"] + gamma * pbar)
-                # agreement up to the neglected O(tbar^4), O(quartic) terms
-                assert scale * orig == pytest.approx(nf.f(tbar, pbar), abs=2e-2)
-
-    def test_rejects_out_of_range_amplitude(self):
-        with pytest.raises(UnsupportedModel):
-            recentre_allen_cahn(0.5)
 
 
 class TestCustomDrift:
     def test_finite_difference_fallback(self):
         m = custom_drift(lambda t, p: np.sin(p) + t)
         assert m.dfdphi(0.0, 0.3) == pytest.approx(np.cos(0.3), abs=1e-8)
-        assert m.d2fdphi2(0.0, 0.3) == pytest.approx(-np.sin(0.3), abs=1e-4)
 
     def test_kind(self):
         assert custom_drift(lambda t, p: -p).kind is DriftKind.CUSTOM
@@ -250,5 +152,26 @@ class TestCustomDrift:
         spec = TorusSpec(1.0, 4)
         m = custom_drift(lambda t, p: p**2)
         f = SpectralField.constant(spec, 3.0)
-        out = drift_apply(m, 0.0, f)
+        out = projected_drift(m, 0.0, f)
         np.testing.assert_allclose(to_physical(out), 9.0, atol=1e-10)
+
+
+def grid_values(model, t, x):
+    return np.asarray(model.f(t, x)), np.asarray(model.dfdphi(t, x))
+
+
+@pytest.mark.parametrize("model", [allen_cahn(0.3), normal_form(0.04),
+                                   normal_form(0.04, cubic=0.5),
+                                   linear_drift(-0.7, 0.2)])
+def test_builtin_models_pickle(model):
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model
+    x = np.linspace(-1.5, 1.5, 41)
+    for t in (-0.3, 0.0, 1.1):
+        for a, b in zip(grid_values(copy, t, x), grid_values(model, t, x)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_linear_drift_has_its_own_kind():
+    assert linear_drift(-1.0).kind is DriftKind.LINEAR
+    assert linear_drift(-1.0).digest_payload()["kind"] == "linear"

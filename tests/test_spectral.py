@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlab.spectral import (SpectralField, TorusSpec, basis_eval,
-                            batch_from_physical, batch_to_physical,
-                            from_physical, hs_norm, laplacian_eigenvalue,
-                            mean_transverse_split, sup_norm_estimate,
+from srlab.spectral import (SpectralField, TorusSpec, batch_from_physical,
+                            batch_to_physical, from_physical, hs_norm,
                             to_physical)
 
 
 @pytest.fixture
 def spec():
     return TorusSpec(L=1.0, K=6)
+
+
+def basis_values(spec, k):
+    """e_k sampled on spec.grid."""
+    return to_physical(SpectralField.basis(spec, k))
+
+
+def sup_norm(fld):
+    return float(np.max(np.abs(to_physical(fld))))
 
 
 def random_field(spec, seed=0, scale=1.0):
@@ -24,32 +31,36 @@ def random_field(spec, seed=0, scale=1.0):
 
 class TestBasis:
     def test_constant_mode(self):
-        assert basis_eval(0, 0.37, TorusSpec(1.0, 2)) == pytest.approx(1.0)
-        assert basis_eval(0, -4.0, TorusSpec(4.0, 2)) == pytest.approx(0.5)
+        np.testing.assert_allclose(basis_values(TorusSpec(1.0, 2), 0), 1.0)
+        np.testing.assert_allclose(basis_values(TorusSpec(4.0, 2), 0), 0.5)
 
     def test_cosine_at_zero(self):
-        assert basis_eval(1, 0.0, TorusSpec(2.0, 2)) == pytest.approx(1.0)
+        assert basis_values(TorusSpec(2.0, 2), 1)[0] == pytest.approx(1.0)
 
     def test_sine_at_zero(self):
-        assert basis_eval(-1, 0.0, TorusSpec(3.0, 2)) == 0.0
+        assert basis_values(TorusSpec(3.0, 2), -1)[0] == 0.0
 
     def test_shapes(self):
         sp = TorusSpec(1.0, 3)
-        x = np.linspace(0, 2, 7)
-        vals = basis_eval(2, x, sp)
-        assert vals.shape == x.shape
-        np.testing.assert_allclose(vals, np.sqrt(2.0) * np.cos(2 * np.pi * x))
+        vals = basis_values(sp, 2)
+        assert vals.shape == sp.grid.shape
+        np.testing.assert_allclose(vals, np.sqrt(2.0) * np.cos(2 * np.pi * sp.grid),
+                                   atol=1e-14)
 
 
 class TestEigenvalues:
+    @staticmethod
+    def mu(k, spec):
+        return spec.eigenvalues[spec.index_of(k)]
+
     def test_zero_mode(self):
-        assert laplacian_eigenvalue(0, TorusSpec(2.0, 2)) == 0.0
+        assert self.mu(0, TorusSpec(2.0, 2)) == 0.0
 
     def test_first_mode_unit_torus(self):
-        assert laplacian_eigenvalue(1, TorusSpec(1.0, 2)) == pytest.approx(np.pi**2)
+        assert self.mu(1, TorusSpec(1.0, 2)) == pytest.approx(np.pi**2)
 
     def test_sign_and_length(self):
-        assert laplacian_eigenvalue(-2, TorusSpec(np.pi, 4)) == pytest.approx(4.0)
+        assert self.mu(-2, TorusSpec(np.pi, 4)) == pytest.approx(4.0)
 
 
 class TestHsNorm:
@@ -199,35 +210,19 @@ class TestBatchTransforms:
 
 
 class TestSplitAndSup:
-    def test_simple_split(self, spec):
-        f = SpectralField.basis(spec, 0, 2.0) + SpectralField.basis(spec, 1, 3.0)
-        phi0, perp = mean_transverse_split(f)
-        assert phi0 == 2.0
-        assert perp.coeff(1) == 3.0 and perp.coeff(0) == 0.0
-
-    def test_zero_mean_field_unchanged(self, spec):
-        f = SpectralField.basis(spec, -2, 1.5)
-        phi0, perp = mean_transverse_split(f)
-        assert phi0 == 0.0
-        np.testing.assert_array_equal(perp.coeffs, f.coeffs)
-
-    def test_exact_recombination(self, spec):
-        f = random_field(spec, seed=9)
-        phi0, perp = mean_transverse_split(f)
-        recombined = perp.coeffs + phi0 * SpectralField.basis(spec, 0).coeffs
-        np.testing.assert_array_equal(recombined, f.coeffs)
+    """The sup norm of a field over the physical grid."""
 
     def test_sup_constant(self):
         sp = TorusSpec(4.0, 2)
-        assert sup_norm_estimate(SpectralField.basis(sp, 0, -3.0)) == pytest.approx(1.5)
+        assert sup_norm(SpectralField.basis(sp, 0, -3.0)) == pytest.approx(1.5)
 
     def test_sup_cosine(self):
         sp = TorusSpec(1.0, 1, 64)
-        assert sup_norm_estimate(SpectralField.basis(sp, 1)) == pytest.approx(
+        assert sup_norm(SpectralField.basis(sp, 1)) == pytest.approx(
             np.sqrt(2.0), abs=1e-2)
 
     def test_sup_zero(self, spec):
-        assert sup_norm_estimate(SpectralField.zero(spec)) == 0.0
+        assert sup_norm(SpectralField.zero(spec)) == 0.0
 
     def test_empirical_sobolev_embedding(self, spec):
         # ratio sup/H^1 stays bounded: no outlier above 2x the 99th percentile
@@ -235,7 +230,7 @@ class TestSplitAndSup:
         ratios = []
         for _ in range(1000):
             f = SpectralField(spec, rng.standard_normal(spec.n_modes))
-            ratios.append(sup_norm_estimate(f) / hs_norm(f, 1.0))
+            ratios.append(sup_norm(f) / hs_norm(f, 1.0))
         ratios = np.array(ratios)
         assert np.max(ratios) <= 2.0 * np.percentile(ratios, 99)
 
@@ -281,14 +276,3 @@ def test_hs_monotone_in_s_property(coeffs, s1, s2):
     f = SpectralField(sp, coeffs)
     lo, hi = min(s1, s2), max(s1, s2)
     assert hs_norm(f, lo) <= hs_norm(f, hi) * (1 + 1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(coeff_arrays)
-def test_split_recombination_property(coeffs):
-    sp = TorusSpec(1.0, 6)
-    f = SpectralField(sp, coeffs)
-    phi0, perp = mean_transverse_split(f)
-    assert perp.coeff(0) == 0.0
-    recombined = perp.coeffs + phi0 * SpectralField.basis(sp, 0).coeffs
-    np.testing.assert_array_equal(recombined, f.coeffs)
