@@ -12,10 +12,8 @@ from .spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
 from .model import (BranchSet, DriftKind, DriftModel, Stability, allen_cahn,
                     custom_drift, equilibrium_branches, linear_drift,
                     normal_form)
-from .adiabatic import (AdiabaticFrame, build_frame, deterministic_pde_track,
-                        track_stable, track_unstable, zeta_solve)
-from .integrator import (ExitSpec, NonFinite, SimConfig, noise_increment_std,
-                         simulate_linear_mode)
+from .adiabatic import AdiabaticFrame, build_frame, deterministic_pde_track
+from .integrator import ExitSpec, NonFinite, SimConfig, simulate_linear_mode
 from .mc import (BatchResult, ExitEvent, ExitStatistics, FitResult,
                  concentration_fit, event_probability, mode_variance_report,
                  run_batch, scaling_exponent, threshold_bisect,

@@ -3,7 +3,8 @@
 Every trajectory/mode pair owns its own counter-based Philox stream, keyed by
 (master seed, trajectory index, mode index).  Results therefore do not depend
 on chunking, scheduling, or worker count, and runs at different spectral
-cutoffs see identical noise on the modes they share.
+cutoffs see identical noise on the modes they share.  ``BlockNormals`` is the
+one way the step loops read these streams.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def derive_seed(master_seed: int, tag: int) -> int:
 
 # A block holds at most BLOCK_NORMALS normals (64 MB) and BLOCK_STEPS steps,
 # so a stopped trajectory wastes at most one block of draws even when few
-# streams share the budget.  Steps are copied TILE_STEPS at a time into a
-# step-major tile when a step reads many streams.
+# streams share the budget.  Steps are served from step-major tiles of
+# TILE_STEPS steps copied out of the block.
 BLOCK_NORMALS = 8_000_000
 BLOCK_STEPS = 1024
 TILE_STEPS = 32
@@ -55,24 +56,20 @@ class BlockNormals:
     Stream (i, k) is ``mode_stream(master_seed, traj_indices[i], k, kind)``,
     and step n reads the n-th normal of every kept stream, trajectory-major.
     Normals are drawn a block of steps at a time, never past ``n_steps``, and
-    only for the trajectories still kept.  A stream's values depend on its key
-    alone, so neither the block length nor dropping other trajectories changes
-    what a kept trajectory sees.
-
-    With ``tile_steps = 0`` each step is a column of the (streams, steps)
-    block.  A positive ``tile_steps`` copies that many steps at a time into a
-    step-major tile instead, which pays off when a step reads many streams.
+    only for the trajectories still kept; each step is then read from a
+    contiguous (steps, kept streams) tile of up to TILE_STEPS steps.  A
+    stream's values depend on its key alone, so neither the block length nor
+    dropping other trajectories changes what a kept trajectory sees.
     """
 
     def __init__(self, master_seed: int, traj_indices, wavenumbers,
-                 n_steps: int, kind: int = KIND_FIELD, tile_steps: int = 0):
+                 n_steps: int, kind: int = KIND_FIELD):
         self._gens = [mode_stream(master_seed, ti, k, kind)
                       for ti in traj_indices for k in wavenumbers]
         self._n_modes = len(wavenumbers)
         self._n_steps = n_steps
         self._block = min(n_steps, BLOCK_STEPS,
                           max(16, BLOCK_NORMALS // max(1, len(self._gens))))
-        self._tile_steps = tile_steps
         self._store = np.empty(0)
         self._raw = None      # (streams, steps) of the current block
         self._rows = None     # rows of the block still served; None for all
@@ -84,14 +81,10 @@ class BlockNormals:
         """The n-th normal of every kept stream, trajectory-major (1-D)."""
         if not self._lo <= n < self._hi:
             self._refill(n)
-        if not self._tile_steps:
-            col = n - self._lo
-            if self._rows is None:
-                return self._raw[:, col]
-            return self._raw[self._rows, col]
         if not self._tlo <= n < self._thi:
             a = n - self._lo
-            b = min(a + self._tile_steps, self._hi - self._lo)
+            b = min(a + TILE_STEPS, self._hi - self._lo)
+            self._tile = None   # free the old tile before building the next
             part = (self._raw[:, a:b] if self._rows is None
                     else self._raw[self._rows, a:b])
             self._tile = np.ascontiguousarray(part.T)

@@ -32,7 +32,8 @@ from ._streams import derive_seed
 from .adiabatic import FRAME_COLUMNS, StiffnessFailure, build_frame
 from .config import (ConfigError, RunConfig, parse_config, serialize_config,
                      sim_window)
-from .integrator import ExitSpec, NonFinite, SimConfig, simulate_batch
+from .integrator import (STEPS_PER_EPS, ExitSpec, NonFinite, SimConfig,
+                         simulate_batch)
 from .mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                  event_probability, fit_line, mode_variance_report, run_batch,
                  threshold_bisect, transition_study, ExitStatistics)
@@ -133,7 +134,7 @@ def _torus(cfg: RunConfig) -> TorusSpec:
 def _resolve_times(cfg: RunConfig) -> tuple[float, float, float]:
     """(t_start, t_end, dt) with defaults: the bifurcation window or [0, 1]."""
     t_start, t_end = sim_window(cfg)
-    dt = cfg.sim.epsilon / 20 if cfg.sim.dt is None else cfg.sim.dt
+    dt = cfg.sim.epsilon / STEPS_PER_EPS if cfg.sim.dt is None else cfg.sim.dt
     n = max(1, int(round((t_end - t_start) / dt)))
     return t_start, t_start + n * dt, dt
 
@@ -259,21 +260,29 @@ def _sweep_cells(cfg: RunConfig):
     return [(d, s, h) for d in deltas for s in sigmas for h in hs]
 
 
+def _transition_setup(cfg: RunConfig, delta: float):
+    """(model, exits, transition_study keywords) of the avoided-bifurcation
+    run at ``delta``: the configured normal form, and the [exits] levels when
+    d_level is set (the study's default levels otherwise)."""
+    if cfg.model.kind != "normal-form":
+        raise ConfigError("[model] kind: transition runs need the normal form")
+    exits = _exits(cfg)
+    T0 = max(cfg.adiabatic.t0, 2.5 * np.sqrt(max(delta, cfg.sim.epsilon)))
+    return (normal_form(delta, cfg.model.cubic, cfg.model.a1),
+            exits if exits.d_level is not None else None,
+            {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
+             "dt": cfg.sim.dt, "T0": T0})
+
+
 def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
                       h: Optional[float], seed: int):
     event = ExitEvent(cfg.mc.event)
     n = cfg.mc.n
     if event is ExitEvent.TRANSITION:
-        if cfg.model.kind != "normal-form":
-            raise ConfigError("[mc] event: transition sweeps need the normal form")
-        T0 = max(cfg.adiabatic.t0, 2.5 * np.sqrt(max(delta, cfg.sim.epsilon)))
-        exits = _exits(cfg)
-        if exits.d_level is None:
-            exits = None
-        batch, sim, exits = transition_study(
-            normal_form(delta, cfg.model.cubic, cfg.model.a1), delta,
-            cfg.sim.epsilon, sigma, n, exits, K=cfg.torus.K, L=cfg.torus.L,
-            n_grid=cfg.torus.n_grid, dt=cfg.sim.dt, T0=T0, seed=seed)
+        model, exits, kwargs = _transition_setup(cfg, delta)
+        batch, sim, exits = transition_study(model, delta, cfg.sim.epsilon,
+                                             sigma, n, exits, seed=seed,
+                                             **kwargs)
         horizon = cfg.mc.horizon if cfg.mc.horizon is not None else sim.t_end
         return event_probability(batch, event, horizon), exits
     model = (normal_form(delta, cfg.model.cubic, cfg.model.a1)
@@ -381,25 +390,20 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int
     if not deltas:
         raise ConfigError("[threshold] delta_values: must be non-empty")
     synthetic = _parse_synthetic(cfg.threshold.synthetic)
-    if synthetic is None and cfg.model.kind != "normal-form":
-        raise ConfigError("[threshold] needs the normal-form model (or synthetic)")
     eps = cfg.sim.epsilon
     rows, xs, ys = [], [], []
     probes_extras = {}
     failures = 0
     for i, delta in enumerate(deltas):
         seed_d = derive_seed(seed, 1000 + i)
-        prob_fn = synthetic(delta, eps) if synthetic is not None else None
-        kwargs = {}
-        if prob_fn is None:
-            kwargs = {"K": cfg.torus.K, "L": cfg.torus.L,
-                      "n_grid": cfg.torus.n_grid, "dt": cfg.sim.dt,
-                      "T0": max(cfg.adiabatic.t0,
-                                2.5 * np.sqrt(max(delta, eps))),
-                      "cubic": cfg.model.cubic}
+        if synthetic is None:
+            model, exits, kwargs = _transition_setup(cfg, float(delta))
+            kwargs["exits"], prob_fn = exits, None
+        else:
+            model, kwargs, prob_fn = None, {}, synthetic(delta, eps)
         try:
             sig, st, probes = threshold_bisect(
-                None, float(delta), eps, cfg.threshold.n,
+                model, float(delta), eps, cfg.threshold.n,
                 tol=cfg.threshold.tol, sigma_lo=cfg.threshold.sigma_lo,
                 sigma_hi=cfg.threshold.sigma_hi, prob_fn=prob_fn,
                 master_seed=seed_d, **kwargs)

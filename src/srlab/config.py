@@ -46,7 +46,7 @@ class ModelSection:
 class SimSection:
     epsilon: float = 1e-3
     sigma: float = 0.1
-    dt: Optional[float] = None          # default epsilon/20
+    dt: Optional[float] = None          # default epsilon/integrator.STEPS_PER_EPS
     t_start: Optional[float] = None     # default -T0 (normal form) or 0
     t_end: Optional[float] = None       # default +T0 or 1
     s_monitor: float = 0.4
@@ -225,6 +225,17 @@ def _validate(cfg: RunConfig):
                           f"got {cfg.adiabatic.branch!r}")
     if min(cfg.mc.n, cfg.threshold.n) < 1:
         raise ConfigError("[mc] n, [threshold] n: must be >= 1")
+    if cfg.mc.k_max < 0:
+        raise ConfigError("[mc] k_max: must be >= 0")
+    if cfg.sweep.max_cells is not None and cfg.sweep.max_cells < 1:
+        raise ConfigError("[sweep] max_cells: must be >= 1 when given")
+    if cfg.adiabatic.t_points < 2:
+        raise ConfigError("[adiabatic] t_points: must be >= 2")
+    lo, hi = cfg.threshold.sigma_lo, cfg.threshold.sigma_hi
+    if min([v for v in (lo, hi) if v is not None], default=1.0) <= 0:
+        raise ConfigError("[threshold] sigma_lo, sigma_hi: must be > 0")
+    if lo is not None and hi is not None and lo >= hi:
+        raise ConfigError("[threshold] sigma_lo: must be below sigma_hi")
     e = cfg.exits
     given = [v for v in asdict(e).values() if v is not None]
     if min(given + list(cfg.sweep.h_values), default=1.0) <= 0:

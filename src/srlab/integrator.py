@@ -11,10 +11,12 @@ stochastic convolution are applied exactly, the reaction term f explicitly,
 
 with psi_k(dt) = (1 - exp(-mu_k dt/eps)) / mu_k (limit dt/eps at k = 0), F the
 spectral projection of the pointwise drift, and eta_k a centred Gaussian with
-the exact stochastic-convolution standard deviation of one step.  Noise is
+the exact stochastic-convolution standard deviation of one step; the three
+per-mode factors are computed once per run by ``_step_factors``.  Noise is
 space-time white truncated to the resolved modes: independent Wiener processes
 drive every mode, one normal draw per mode per step from the trajectory's
-dedicated counter-based stream.
+dedicated counter-based stream, read through ``_streams.BlockNormals``.  Runs
+that leave the step unset use dt = eps / STEPS_PER_EPS.
 
 Exit sets are monitored online after every step; crossing times are resolved
 at the midpoint of the bracketing step.  A trajectory that stops at -d0 or
@@ -48,10 +50,13 @@ __all__ = [
     "SimConfig",
     "ExitSpec",
     "NonFinite",
-    "noise_increment_std",
     "simulate_batch",
     "simulate_linear_mode",
 ]
+
+
+# The default time step is eps / STEPS_PER_EPS wherever a run leaves dt unset.
+STEPS_PER_EPS = 20
 
 
 class NonFinite(RuntimeError):
@@ -102,14 +107,6 @@ class SimConfig:
         """Times of the recorded series: every ``record_stride``-th step time."""
         return self.times()[::self.record_stride]
 
-    def digest_payload(self) -> dict:
-        return {"eps": self.eps, "sigma": self.sigma, "dt": self.dt,
-                "L": self.spec.L, "K": self.spec.K, "n_grid": self.spec.n_grid,
-                "t_start": self.t_start, "t_end": self.t_end,
-                "s_monitor": self.s_monitor, "seed": self.seed,
-                "record_stride": self.record_stride,
-                "stop_on_d0": self.stop_on_d0}
-
 
 @dataclass(frozen=True)
 class ExitSpec:
@@ -136,10 +133,6 @@ class ExitSpec:
             if not self.d0_level > self.d_level:
                 raise ValueError("d0_level must exceed d_level")
 
-    def digest_payload(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("h", "h_perp", "h_stable", "d_level", "d0_level")}
-
 
 _OUTCOME_FIELDS = [
     ("traj", np.int64),
@@ -154,23 +147,13 @@ _OUTCOME_FIELDS = [
 _TAU_NAMES = ("tau_b0", "tau_bperp", "tau_b", "tau_minus_d", "tau_minus_d0")
 
 
-def noise_increment_std(k: int, dt: float, eps: float, sigma: float,
-                        mu_k: float) -> float:
-    """Exact one-step std of the pure-heat stochastic convolution of mode k.
-
-    sigma * sqrt((1 - exp(-2 mu_k dt/eps)) / (2 mu_k)), with the Brownian
-    limit sigma*sqrt(dt/eps) at mu_k = 0.
-    """
-    if dt <= 0 or eps <= 0:
-        raise ValueError("dt and eps must be > 0")
-    theta = dt / eps
-    if mu_k == 0.0:
-        return sigma * np.sqrt(theta)
-    return sigma * np.sqrt(-np.expm1(-2.0 * mu_k * theta) / (2.0 * mu_k))
-
-
 def _step_factors(cfg: SimConfig):
-    """(decay, psi, noise_std) arrays over modes for one step of size dt."""
+    """(decay, psi, noise_std) arrays over modes for one step of size dt.
+
+    noise_std is the exact one-step std of mode k's pure-heat stochastic
+    convolution, sigma sqrt((1 - exp(-2 mu_k dt/eps)) / (2 mu_k)), with the
+    Brownian limit sigma sqrt(dt/eps) at mu_k = 0.
+    """
     mu = cfg.spec.eigenvalues
     theta = cfg.dt / cfg.eps
     decay = np.exp(-mu * theta)
@@ -261,8 +244,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             rec_fields[:, 0, :] = state
 
     noise = (_streams.BlockNormals(cfg.seed, traj_indices, spec.wavenumbers,
-                                   n_steps, tile_steps=_streams.TILE_STEPS)
-             if cfg.sigma > 0 else None)
+                                   n_steps) if cfg.sigma > 0 else None)
 
     monitor_perp = exits.h_perp is not None
     # transverse norm is needed every step only when a norm monitor is active
@@ -346,8 +328,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
 
 
 def simulate_linear_mode(k: int, a_of_t: Callable, cfg: SimConfig,
-                         n_paths: int = 1, psi0: float = 0.0,
-                         first_path_index: int = 0) -> np.ndarray:
+                         n_paths: int = 1, psi0: float = 0.0) -> np.ndarray:
     """Exact-in-distribution sampling of the scalar linear mode equation
 
         d psi_k = (1/eps)(-mu_k + a(t)) psi_k dt + (sigma/sqrt(eps)) dW_k .
@@ -381,9 +362,8 @@ def simulate_linear_mode(k: int, a_of_t: Callable, cfg: SimConfig,
     out = np.empty((n_paths, n_rec))
     psi = np.full(n_paths, float(psi0))
     out[:, 0] = psi
-    noise = (_streams.BlockNormals(
-        cfg.seed, range(first_path_index, first_path_index + n_paths), (k,),
-        n_steps) if cfg.sigma > 0 else None)
+    noise = (_streams.BlockNormals(cfg.seed, range(n_paths), (k,), n_steps)
+             if cfg.sigma > 0 else None)
     std = np.sqrt(var)
     for n in range(n_steps):
         if noise is not None:

@@ -11,8 +11,6 @@ fits are plain least squares on points with at least five successes.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,7 +21,8 @@ import numpy as np
 from . import _streams
 from .adiabatic import AdiabaticFrame
 from .config import ConfigError
-from .integrator import ExitSpec, SimConfig, simulate_batch, simulate_linear_mode
+from .integrator import (STEPS_PER_EPS, ExitSpec, SimConfig, simulate_batch,
+                         simulate_linear_mode)
 from .model import DriftModel, equilibrium_branches, normal_form
 from .spectral import SpectralField, TorusSpec
 
@@ -110,8 +109,6 @@ class BatchResult:
 
     n: int
     outcomes: np.ndarray  # structured array, one row per trajectory
-    cfg_digest: str
-    master_seed: int
     failures: tuple = ()
 
 
@@ -148,13 +145,6 @@ def _n_workers(n_workers: Optional[int]) -> int:
         raise ConfigError(f"{WORKERS_ENV_VAR}={env!r}: not an integer") from None
 
 
-def _digest(cfg: SimConfig, model: DriftModel, exits: ExitSpec) -> str:
-    payload = {"sim": cfg.digest_payload(), "model": model.digest_payload(),
-               "exits": exits.digest_payload()}
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
               exits: Optional[ExitSpec], frame: Optional[AdiabaticFrame],
               n: int, n_workers: Optional[int] = None) -> BatchResult:
@@ -165,7 +155,6 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    exits = exits or ExitSpec()
     work_rows = n * min(cfg.spec.n_modes, _CHUNK_MODES)
     n_chunks = min(n, -(-work_rows // CHUNK_SIZE))
     chunks = [range(n * i // n_chunks, n * (i + 1) // n_chunks) for i in range(n_chunks)]
@@ -183,8 +172,7 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
 
     out = np.concatenate(results)
     failures = tuple(int(i) for i in out["traj"][out["failed"]])
-    return BatchResult(n=n, outcomes=out, cfg_digest=_digest(cfg, model, exits),
-                       master_seed=cfg.seed, failures=failures)
+    return BatchResult(n=n, outcomes=out, failures=failures)
 
 
 def event_probability(batch: BatchResult, event: ExitEvent,
@@ -283,21 +271,22 @@ def transition_study(model: Optional[DriftModel], delta: float, eps: float,
                      K: int = 16, L: float = 1.0, n_grid: int = 0,
                      dt: Optional[float] = None, T0: Optional[float] = None,
                      seed: int = 0, h_perp: Optional[float] = None,
-                     cubic: float = 0.0, n_workers: Optional[int] = None):
+                     n_workers: Optional[int] = None):
     """Run the avoided-bifurcation transition experiment; returns (batch, cfg, exits).
 
     The trajectory starts on the stable branch at -T0 and is integrated over
     [-T0, T0]; T0 defaults to max(0.2, 2.5 sqrt(delta v eps)) so the window
     always contains the bifurcation region.  Levels default to
     d = half the minimal branch gap, d0 = 2d; trajectories stop once -d0 is
-    reached (the normal-form drift is unbounded below).
+    reached (the normal-form drift is unbounded below).  ``model=None`` runs
+    ``normal_form(delta)``.
     """
     if model is None:
-        model = normal_form(delta, cubic)
+        model = normal_form(delta)
     if T0 is None:
         T0 = max(0.2, 2.5 * np.sqrt(max(delta, eps)))
     if dt is None:
-        dt = eps / 20
+        dt = eps / STEPS_PER_EPS
     n_steps = int(round(2.0 * T0 / dt))
     spec = TorusSpec(L=L, K=K, n_grid=n_grid)
     cfg = SimConfig(eps=eps, sigma=sigma, dt=dt, spec=spec,

@@ -120,11 +120,6 @@ class DriftModel:
             return self.callables[1](t, phi)
         return _DRIFTS[self.kind][1](t, phi, **self.params)
 
-    def digest_payload(self) -> dict:
-        """Stable description for hashing into batch digests."""
-        return {"kind": self.kind.value,
-                "params": {k: self.params[k] for k in sorted(self.params)}}
-
 
 def allen_cahn(amplitude: float) -> DriftModel:
     """Slow-time Allen-Cahn drift f(t, phi) = phi - phi^3 + A cos t."""
@@ -220,15 +215,16 @@ def _polish_root(g, lo: float, hi: float, maxit: int = 80) -> float:
     return x1 if abs(g(x1)) <= abs(g(0.5 * (lo + hi))) else 0.5 * (lo + hi)
 
 
-def equilibrium_branches(model: DriftModel, t: float, bracket: float = 3.0,
-                         n_scan: int = 2001) -> BranchSet:
+def equilibrium_branches(model: DriftModel, t: float,
+                         bracket: float = 3.0) -> BranchSet:
     """All real roots of f(t, .) in [-bracket, bracket] with stability labels.
 
-    Sign-scan plus bisection/secant polishing; tangential double roots are
-    caught through the critical points of f.  Residuals are <= 1e-10.
+    Sign-scan on 2001 points plus bisection/secant polishing; tangential
+    double roots are caught through the critical points of f.  Residuals are
+    <= 1e-10.
     """
     g = lambda p: float(model.f(t, p))
-    xs = np.linspace(-bracket, bracket, n_scan)
+    xs = np.linspace(-bracket, bracket, 2001)
     fs = np.asarray(model.f(t, xs), dtype=float)
     roots: list[tuple[float, int]] = []
     sign = np.sign(fs)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from srlab.adiabatic import (OutOfRange, build_frame, deterministic_pde_track,
-                             track_stable, track_unstable, zeta_solve)
+from srlab.adiabatic import OutOfRange, build_frame, deterministic_pde_track
 from srlab.model import allen_cahn, custom_drift, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec, hs_norm
 
@@ -22,14 +21,14 @@ def frozen_quadratic(delta):
 
 class TestTrackStable:
     def test_frozen_fixed_point(self):
-        fr = track_stable(frozen_affine(), eps=1e-2, T0=0.2, grid_step=1e-3)
+        fr = build_frame(frozen_affine(), eps=1e-2, T0=0.2, grid_step=1e-3)
         np.testing.assert_allclose(fr.phibar, 1.0, atol=1e-12)
         np.testing.assert_allclose(fr.abar, -1.0)
 
     def test_normal_form_center_value(self):
         # phibar(0) within [1, 3] x sqrt(delta v eps), loosely per asymptotics
         delta, eps = 0.04, 1e-3
-        fr = track_stable(normal_form(delta), eps, T0=0.2)
+        fr = build_frame(normal_form(delta), eps, T0=0.2)
         scale = np.sqrt(max(delta, eps))
         v = fr.phibar_at(0.0)
         assert scale <= v <= 3.0 * scale
@@ -38,7 +37,7 @@ class TestTrackStable:
         model = normal_form(0.04)
 
         def gap(eps):
-            fr = track_stable(model, eps, T0=0.2)
+            fr = build_frame(model, eps, T0=0.2)
             t = -0.1
             return fr.phibar_at(t) - np.sqrt(0.04 + t * t)
 
@@ -47,26 +46,26 @@ class TestTrackStable:
 
     def test_grid_step_precondition(self):
         with pytest.raises(ValueError):
-            track_stable(normal_form(0.04), eps=1e-3, T0=0.2, grid_step=1e-3)
+            build_frame(normal_form(0.04), eps=1e-3, T0=0.2, grid_step=1e-3)
 
     def test_abar_negative_everywhere(self):
-        fr = track_stable(normal_form(0.04), 1e-3, T0=0.2)
+        fr = build_frame(normal_form(0.04), 1e-3, T0=0.2)
         assert np.max(fr.abar) < 0.0
 
     def test_alphabar_nonincreasing(self):
-        fr = track_stable(normal_form(0.04), 1e-3, T0=0.2)
+        fr = build_frame(normal_form(0.04), 1e-3, T0=0.2)
         assert np.all(np.diff(fr.alphabar_cum) <= 0.0)
 
 
 class TestTrackUnstable:
     def test_frozen_quadratic_fixed_point(self):
-        fr = track_unstable(frozen_quadratic(0.04), eps=1e-2, T0=0.2, grid_step=1e-3)
+        fr = build_frame(frozen_quadratic(0.04), eps=1e-2, T0=0.2, grid_step=1e-3)
         np.testing.assert_allclose(fr.phihat, -0.2, atol=1e-10)
         np.testing.assert_allclose(fr.ahat, 0.4, atol=1e-10)
 
     def test_normal_form_signs_and_scale(self):
         delta, eps = 0.04, 1e-3
-        fr = track_unstable(normal_form(delta), eps, T0=0.2)
+        fr = build_frame(normal_form(delta), eps, T0=0.2)
         v = float(np.interp(0.0, fr.t_grid, fr.phihat))
         scale = np.sqrt(max(delta, eps))
         assert v < 0.0
@@ -74,33 +73,31 @@ class TestTrackUnstable:
         assert np.min(fr.ahat) > 0.0
 
     def test_time_reversal_oracle(self):
-        # track_stable on the time-reversed drift reproduces phihat
+        # phibar of the time-reversed drift reproduces phihat
         delta, eps = 0.04, 1e-3
         nf = normal_form(delta)
-        fr_hat = track_unstable(nf, eps, T0=0.2)
+        fr_hat = build_frame(nf, eps, T0=0.2)
         reversed_model = custom_drift(
             lambda t, p: -nf.f(-t, p),
             lambda t, p: -nf.dfdphi(-t, p))
-        fr_rev = track_stable(reversed_model, eps, T0=0.2, branch="lower")
+        fr_rev = build_frame(reversed_model, eps, T0=0.2, branch="lower")
         np.testing.assert_allclose(fr_rev.phibar[::-1], fr_hat.phihat, atol=1e-8)
 
 
 class TestZeta:
     def test_frozen_unit_rate(self):
-        fr = track_stable(frozen_affine(), 1e-2, T0=0.2, grid_step=1e-3)
-        z = zeta_solve(fr)
-        np.testing.assert_allclose(z, 0.5, atol=1e-12)
+        fr = build_frame(frozen_affine(), 1e-2, T0=0.2, grid_step=1e-3)
+        np.testing.assert_allclose(fr.zeta, 0.5, atol=1e-12)
 
     def test_frozen_rate_two(self):
         m = custom_drift(lambda t, p: -2.0 * p,
                          lambda t, p: -2.0 * np.ones_like(np.asarray(p, dtype=float)))
-        fr = track_stable(m, 1e-2, T0=0.2, grid_step=1e-3)
-        np.testing.assert_allclose(zeta_solve(fr), 0.25, atol=1e-12)
+        fr = build_frame(m, 1e-2, T0=0.2, grid_step=1e-3)
+        np.testing.assert_allclose(fr.zeta, 0.25, atol=1e-12)
 
     def test_frozen_stationarity_residual(self):
-        fr = track_stable(frozen_affine(), 1e-2, T0=0.3, grid_step=1e-3)
-        z = zeta_solve(fr)
-        assert np.max(np.abs(2.0 * fr.abar * z + 1.0)) <= 1e-8
+        fr = build_frame(frozen_affine(), 1e-2, T0=0.3, grid_step=1e-3)
+        assert np.max(np.abs(2.0 * fr.abar * fr.zeta + 1.0)) <= 1e-8
 
     def test_normal_form_ratio(self):
         frame = build_frame(normal_form(0.04), 1e-3, T0=0.2)
@@ -125,7 +122,7 @@ class TestAlphaIntegral:
         assert frame.alphabar_cum[0] == 0.0 and frame.alphahat_cum[0] == 0.0
 
     def test_frozen_value(self):
-        fr = track_stable(frozen_affine(), 1e-2, T0=0.3, grid_step=1e-3)
+        fr = build_frame(frozen_affine(), 1e-2, T0=0.3, grid_step=1e-3)
         i = int(np.argmin(np.abs(fr.t_grid - 0.2)))
         assert fr.alphabar_cum[i] == pytest.approx(-0.5, rel=1e-12)
 

@@ -10,6 +10,9 @@ import pytest
 
 from srlab.cli import Manifest, main
 from srlab.config import ConfigError, parse_config_text, serialize_config
+from srlab.integrator import ExitSpec
+from srlab.mc import transition_probability
+from srlab.model import normal_form
 
 BASE = """
 [torus]
@@ -165,9 +168,11 @@ class TestExitCodes:
          "[exits] d0_level"),
         ("simulate", BASE.replace("seed = 4242", "seed = 4242\ninit = const:inf"),
          [], "[sim] init"),
+        ("threshold", BASE + "\n[threshold]\ndelta_values = 0.04\n"
+         "sigma_lo = -0.1\n", [], "[threshold] sigma_lo"),
     ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
             "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
-            "init-inf"])
+            "init-inf", "sigma-lo-negative"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
@@ -182,8 +187,16 @@ class TestExitCodes:
                                   "seed = 4242\nt_start = 1.0\nt_end = 0.5"),
          "[sim] t_end"),
         ("adiabatic", BASE + "branch = middle\n", "[adiabatic] branch"),
+        ("variance-check", BASE.replace("normal-form", "linear")
+         + "\n[mc]\nk_max = -1\n", "[mc] k_max"),
+        ("sweep", BASE + "\n[sweep]\nmax_cells = -1\n", "[sweep] max_cells"),
+        ("branches", BASE.replace("t_points = 21", "t_points = 0"),
+         "[adiabatic] t_points"),
+        ("threshold", BASE + "\n[threshold]\ndelta_values = 0.04\n"
+         "sigma_lo = 0.5\nsigma_hi = 0.1\n", "[threshold] sigma_lo"),
     ], ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
-            "branch-middle"])
+            "branch-middle", "k-max-negative", "max-cells-negative",
+            "t-points-zero", "sigma-lo-above-hi"])
     def test_value_that_ran_silently_is_1(self, tmp_path, capsys, command, text,
                                           field):
         path = write_cfg(tmp_path, text)
@@ -484,6 +497,36 @@ synthetic = logistic:prefactor=0.9,exponent=0.75,sharpness=32
         probes = man["extras"]["bisection_probes"]
         assert set(probes) == {"0.01", "0.02", "0.04", "0.08", "0.16"}
         assert all("seed" in p for plist in probes.values() for p in plist)
+
+
+    def test_uses_configured_model_and_levels(self, tmp_path):
+        # each probe is the transition_probability of the configured normal
+        # form (a1 = 2) with the [exits] levels, as in a sweep cell
+        text = BASE.replace("K = 4", "K = 0").replace(
+            "epsilon = 0.001", "epsilon = 0.01").replace(
+            "delta = 0.04", "delta = 0.04\na1 = 2.0") + """
+[exits]
+d_level = 0.15
+d0_level = 0.35
+
+[threshold]
+delta_values = 0.04
+n = 40
+tol = 1.0
+sigma_lo = 0.13
+sigma_hi = 0.5
+"""
+        path = write_cfg(tmp_path, text)
+        # one delta gives no fit line: exit 3, probes still recorded
+        assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == 3
+        man = json.loads((tmp_path / "threshold_manifest.json").read_text())
+        probe = man["extras"]["bisection_probes"]["0.04"][0]
+        st = transition_probability(
+            normal_form(0.04, a1=2.0), 0.04, 0.01, probe["sigma"], 40,
+            ExitSpec(d_level=0.15, d0_level=0.35), K=0, T0=0.5,
+            seed=probe["seed"])
+        assert probe["sigma"] == 0.13
+        assert probe["p_hat"] == st.p_hat
 
 
 class TestVarianceCheckCommand:

@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from srlab import _streams
-from srlab.integrator import (ExitSpec, SimConfig, noise_increment_std,
-                              simulate_batch, simulate_linear_mode)
+from srlab.integrator import (ExitSpec, SimConfig, _step_factors, simulate_batch,
+                              simulate_linear_mode)
 from srlab.model import custom_drift, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec, hs_weights
 
@@ -26,22 +26,34 @@ def make_cfg(spec, **kw):
 
 
 class TestNoiseIncrementStd:
+    """The per-mode noise std of one step, ``_step_factors(cfg)[2]``."""
+
+    @staticmethod
+    def noise_std(k, dt, eps, sigma, L=1.0):
+        spec = TorusSpec(L, max(k, 1))
+        cfg = make_cfg(spec, dt=dt, eps=eps, sigma=sigma, t_end=dt)
+        return _step_factors(cfg)[2][spec.index_of(k)]
+
     def test_brownian_mode(self):
-        assert noise_increment_std(0, 5e-4, 1e-2, 0.3, 0.0) == pytest.approx(
+        assert self.noise_std(0, 5e-4, 1e-2, 0.3) == pytest.approx(
             0.3 * np.sqrt(0.05))
 
     def test_stationary_limit(self):
-        # mu dt/eps -> infinity saturates at sigma / sqrt(2 mu)
-        val = noise_increment_std(3, 1.0, 1e-6, 0.2, 5.0)
-        assert val == pytest.approx(0.2 / np.sqrt(10.0), rel=1e-12)
+        # mu dt/eps -> infinity saturates at sigma / sqrt(2 mu); dt <= eps,
+        # so the limit is reached through a large mu (a short torus)
+        L = 0.01
+        mu = (3 * np.pi / L) ** 2
+        val = self.noise_std(3, 1e-2, 1e-2, 0.2, L=L)
+        assert val == pytest.approx(0.2 / np.sqrt(2.0 * mu), rel=1e-12)
 
     def test_log2_plugin(self):
-        assert noise_increment_std(1, np.log(2.0), 1.0, 1.0, 1.0) == pytest.approx(
-            np.sqrt(3.0 / 8.0))
+        # mu_1 = 1 on the torus of length pi
+        assert self.noise_std(1, np.log(2.0), 1.0, 1.0, L=np.pi) == \
+            pytest.approx(np.sqrt(3.0 / 8.0))
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
-            noise_increment_std(0, -1.0, 1.0, 0.1, 0.0)
+            make_cfg(TorusSpec(1.0, 0), dt=-1.0)
 
 
 class TestStep:

@@ -73,7 +73,6 @@ class TestRunBatch:
         a = run_batch(cfg, model, init, exits, None, n=300, n_workers=1)
         b = run_batch(cfg, model, init, exits, None, n=300, n_workers=3)
         assert np.array_equal(a.outcomes, b.outcomes)
-        assert a.cfg_digest == b.cfg_digest
 
     def test_worker_count_invariance_over_chunks(self, setup):
         # n=1000 at K=4 is two default chunks, so 3 workers run two threads
@@ -167,7 +166,6 @@ class TestRunBatch:
         cfg, model, init, exits = setup
         a = run_batch(cfg, model, init, exits, None, n=4)
         b = run_batch(cfg, model, init, exits, None, n=4)
-        assert a.cfg_digest == b.cfg_digest
         assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_sigma_zero_degenerates(self, setup):
