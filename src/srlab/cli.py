@@ -5,7 +5,8 @@ variance-check.  Every command reads one config file, writes CSVs with a
 fixed column order and locale-independent full-precision formatting, and
 drops a JSON manifest holding the config snapshot, master seed, and output
 digests; re-running with the same config reproduces every CSV bitwise
-(worker count never affects results; set SRLAB_WORKERS to bound threads).
+(worker count never affects results; SRLAB_WORKERS bounds the worker
+processes, and 1 runs every batch in-process).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 bracket or
 fit failure.
@@ -262,16 +263,24 @@ def _sweep_cells(cfg: RunConfig):
 
 def _transition_setup(cfg: RunConfig, delta: float):
     """(model, exits, transition_study keywords) of the avoided-bifurcation
-    run at ``delta``: the configured normal form, and the [exits] levels when
-    d_level is set (the study's default levels otherwise)."""
+    run at ``delta``: the configured normal form, and the [exits] fields when
+    both levels are set (the study's default levels and [exits] h_perp
+    otherwise)."""
     if cfg.model.kind != "normal-form":
         raise ConfigError("[model] kind: transition runs need the normal form")
     exits = _exits(cfg)
+    if exits.h is not None:
+        raise ConfigError("[exits] h: transition runs build no adiabatic "
+                          "frame, so they cannot monitor B0; leave h unset")
+    if (exits.d_level is None) != (exits.d0_level is None):
+        raise ConfigError("[exits] d_level, d0_level: transition runs need "
+                          "both levels or neither")
     T0 = max(cfg.adiabatic.t0, 2.5 * np.sqrt(max(delta, cfg.sim.epsilon)))
-    return (normal_form(delta, cfg.model.cubic, cfg.model.a1),
-            exits if exits.d_level is not None else None,
-            {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
-             "dt": cfg.sim.dt, "T0": T0})
+    kwargs = {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
+              "dt": cfg.sim.dt, "T0": T0}
+    if exits.d_level is None:
+        exits, kwargs["h_perp"] = None, exits.h_perp
+    return normal_form(delta, cfg.model.cubic, cfg.model.a1), exits, kwargs
 
 
 def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,

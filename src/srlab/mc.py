@@ -1,8 +1,15 @@
 """Monte Carlo estimation of exit/transition probabilities and scaling fits.
 
-Batches fan trajectories out over worker threads in chunks sized by the work
-per step; since every trajectory draws from its own (seed, index, mode)
+Batches fan trajectories out over worker processes in chunks sized by the
+work per step; since every trajectory draws from its own (seed, index, mode)
 streams, the outcomes are bitwise independent of chunking and worker count.
+The workers form one persistent ``forkserver`` pool, made on the first batch
+that needs it.  Each worker imports the main script again, so a script that
+runs batches at import time must guard that code with
+``if __name__ == "__main__":``, and a script read from stdin needs
+SRLAB_WORKERS=1.  A batch of one chunk, a batch at one worker, and a batch
+whose model does not pickle (a ``custom_drift`` of lambdas, say) run in the
+calling process.
 Probabilities carry Wilson 95% intervals, which behave correctly at the
 extreme rates these experiments live at.  Log-probability and log-threshold
 fits are plain least squares on points with at least five successes.
@@ -10,9 +17,11 @@ fits are plain least squares on points with at least five successes.
 
 from __future__ import annotations
 
+import atexit
 import enum
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -53,9 +62,13 @@ WORKERS_ENV_VAR = "SRLAB_WORKERS"
 # Target rows x modes per chunk, counting at most _CHUNK_MODES (K=16) modes:
 # a step costs a fixed number of numpy calls whatever its row count, so low-K
 # batches get fewer, longer chunks, while from K=16 up chunks stay 256 rows
-# (smaller ones ran slower in one thread at K=32).  One thread per chunk.
+# (smaller ones ran slower in one thread at K=32).  One worker process per
+# chunk.
 _CHUNK_MODES = 33
 CHUNK_SIZE = 256 * _CHUNK_MODES
+
+# (size, ProcessPoolExecutor) of the worker pool; made by _worker_pool
+_pool = None
 
 WILSON_Z = 1.96
 MIN_FIT_SUCCESSES = 5
@@ -134,15 +147,92 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z):
 
 
 def _n_workers(n_workers: Optional[int]) -> int:
+    """The requested worker count (default: every CPU this process may use),
+    capped at that CPU count."""
+    cpus = len(os.sched_getaffinity(0))
     if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if not env:
-        return os.cpu_count() or 1
+        requested = int(n_workers)
+    else:
+        env = os.environ.get(WORKERS_ENV_VAR)
+        try:
+            requested = int(env) if env else cpus
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV_VAR}={env!r}: not an integer") from None
+    return max(1, min(requested, cpus))
+
+
+def _chunk_ranges(n: int, n_modes: int) -> list[range]:
+    """Contiguous near-equal index ranges covering range(n), each holding
+    about CHUNK_SIZE rows x modes, with modes counted up to _CHUNK_MODES."""
+    work_rows = n * min(n_modes, _CHUNK_MODES)
+    n_chunks = min(n, -(-work_rows // CHUNK_SIZE))
+    return [range(n * i // n_chunks, n * (i + 1) // n_chunks)
+            for i in range(n_chunks)]
+
+
+def _run_chunk(cfg, model, init, exits, frame, idx_range):
+    """Outcomes of the trajectories in ``idx_range``; runs in any process."""
+    return simulate_batch(cfg, model, init, exits, frame,
+                          traj_indices=list(idx_range), collect_series=False)
+
+
+def _picklable(obj) -> bool:
     try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV_VAR}={env!r}: not an integer") from None
+        pickle.dumps(obj)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
+
+
+def _worker_pool(size: int):
+    """The module's forkserver process pool, remade when ``size`` changes."""
+    global _pool
+    if _pool is None or _pool[0] != size:
+        import multiprocessing.forkserver
+        from concurrent.futures.process import ProcessPoolExecutor
+        _close_pool()
+        # Workers fork from the forkserver and inherit its environment.  The
+        # workers already fill the CPUs, so each gets one OpenBLAS thread
+        # unless the caller set a count: on 2 CPUs, a K=96 batch in two
+        # workers with two BLAS threads each ran 4.6x slower than with one.
+        blas = "OPENBLAS_NUM_THREADS"
+        unset = blas not in os.environ
+        if unset:
+            os.environ[blas] = "1"
+        try:
+            multiprocessing.forkserver.ensure_running()
+        finally:
+            if unset:
+                del os.environ[blas]
+        _pool = (size, ProcessPoolExecutor(
+            size, mp_context=multiprocessing.get_context("forkserver")))
+    return _pool[1]
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(cancel_futures=True)
+        _pool = None
+
+
+# shut the pool down while the interpreter is whole, not from the garbage
+# collector during module teardown
+atexit.register(_close_pool)
+
+
+def _run_in_pool(work, chunks: list, size: int) -> list:
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        return list(_worker_pool(size).map(work, chunks))
+    except BrokenProcessPool as exc:
+        _close_pool()
+        raise RuntimeError(
+            "a srlab worker process died.  Each worker imports the main "
+            "script again, so a script that runs batches at import time must "
+            "put that code under `if __name__ == \"__main__\":`; a script "
+            f"read from stdin cannot be imported at all.  {WORKERS_ENV_VAR}=1 "
+            "runs every batch in this process") from exc
 
 
 def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
@@ -155,18 +245,11 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    work_rows = n * min(cfg.spec.n_modes, _CHUNK_MODES)
-    n_chunks = min(n, -(-work_rows // CHUNK_SIZE))
-    chunks = [range(n * i // n_chunks, n * (i + 1) // n_chunks) for i in range(n_chunks)]
-
-    def work(idx_range):
-        return simulate_batch(cfg, model, init, exits, frame,
-                              traj_indices=list(idx_range), collect_series=False)
-
-    workers = _n_workers(n_workers)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
+    chunks = _chunk_ranges(n, cfg.spec.n_modes)
+    work = functools.partial(_run_chunk, cfg, model, init, exits, frame)
+    workers = min(_n_workers(n_workers), len(chunks))
+    if workers > 1 and _picklable(work):
+        results = _run_in_pool(work, chunks, workers)
     else:
         results = [work(c) for c in chunks]
 

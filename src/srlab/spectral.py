@@ -14,8 +14,8 @@ makes projection exact on the cutoff space whenever n_grid >= 2K+1.
 
 Grid transforms are products with the cached real basis matrices
 ``TorusSpec.synthesis`` (e_k(x_j)) and ``TorusSpec.analysis`` (its
-quadrature-weighted transpose), run by BLAS, which releases the GIL, so
-worker threads overlap.  A row costs O(n_modes * n_grid) against the FFT's
+quadrature-weighted transpose), run by BLAS in the process that runs
+the chunk (see ``srlab.mc``).  A row costs O(n_modes * n_grid) against the FFT's
 O(n_grid log n_grid): on transition batches with the default grid, faster
 than numpy's rfft/irfft pair up to K = 32, about even at K = 48 and slower
 from K = 64 on.  The product runs in zero-padded blocks of DENSE_BLOCK rows,

@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srlab.mc as mc
 from srlab.cli import Manifest, main
 from srlab.config import ConfigError, parse_config_text, serialize_config
 from srlab.integrator import ExitSpec
@@ -170,9 +174,21 @@ class TestExitCodes:
          [], "[sim] init"),
         ("threshold", BASE + "\n[threshold]\ndelta_values = 0.04\n"
          "sigma_lo = -0.1\n", [], "[threshold] sigma_lo"),
+        # transition runs build no frame, so B0 cannot be monitored
+        ("sweep", BASE + "\n[exits]\nd_level = 0.1\nd0_level = 0.3\nh = 0.5\n",
+         [], "[exits] h"),
+        ("threshold", BASE + "\n[exits]\nh = 0.5\n"
+         "\n[threshold]\ndelta_values = 0.04\n", [], "[exits] h"),
+        # the transition event is d_level crossed, then d0_level reached:
+        # one level alone cannot define it
+        ("sweep", BASE + "\n[exits]\nd_level = 0.1\n", [], "[exits] d_level"),
+        ("threshold", BASE + "\n[exits]\nd0_level = 0.3\n"
+         "\n[threshold]\ndelta_values = 0.04\n", [], "d0_level"),
     ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
             "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
-            "init-inf", "sigma-lo-negative"])
+            "init-inf", "sigma-lo-negative", "transition-sweep-h",
+            "transition-threshold-h", "transition-d-level-alone",
+            "transition-d0-level-alone"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
@@ -463,6 +479,23 @@ class TestSweepCommand:
         assert path.read_bytes() == before
         assert json.loads(before)["command"] == "sweep"
 
+    def test_transition_cells_monitor_h_perp_without_levels(self, tmp_path):
+        # [exits] h_perp alone is monitored with the default levels; it
+        # stops no trajectory, so p_hat is the same as without it
+        plain = tmp_path / "plain"
+        perp = tmp_path / "perp"
+        assert main(["sweep", "--config", write_cfg(tmp_path, SWEEP, "a.ini"),
+                     "--out", str(plain)]) == 0
+        text = SWEEP + "\n[exits]\nh_perp = 0.5\n"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text, "b.ini"),
+                     "--out", str(perp)]) == 0
+        header, rows = read_csv(perp / "sweep.csv")
+        _, plain_rows = read_csv(plain / "sweep.csv")
+        col = header.index("h_perp")
+        assert [float(r[col]) for r in rows] == [0.5] * 3
+        assert [r[:col] + r[col + 1:] for r in rows] == \
+            [r[:col] + r[col + 1:] for r in plain_rows]
+
     def test_worker_env_does_not_change_results(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, SWEEP)
         monkeypatch.setenv("SRLAB_WORKERS", "1")
@@ -471,6 +504,37 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "w4")]) == 0
         assert (tmp_path / "w1" / "sweep.csv").read_bytes() == \
             (tmp_path / "w4" / "sweep.csv").read_bytes()
+
+    def test_module_entry_point_same_bytes_at_one_and_two_workers(self,
+                                                                   tmp_path):
+        # the worker pool as a user starts it, through `python -m srlab.cli`:
+        # n=300 at K=16 is two chunks, which run in two worker processes
+        assert len(mc._chunk_ranges(300, 33)) == 2
+        text = BASE.replace("K = 4", "K = 16").replace(
+            "epsilon = 0.001", "epsilon = 0.01") + """
+[mc]
+n = 300
+event = transition
+
+[sweep]
+sigma_values = 0.15
+"""
+        path = write_cfg(tmp_path, text)
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            env["SRLAB_WORKERS"] = workers
+            proc = subprocess.run(
+                [sys.executable, "-m", "srlab.cli", "sweep", "--config", path,
+                 "--out", str(out)], env=env, capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2
 
 
 class TestThresholdCommand:

@@ -1,5 +1,10 @@
 """Monte Carlo layer: estimators, fits, thresholds, variance report."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,7 @@ from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                       run_batch, scaling_exponent, scalar_transition_probability,
                       threshold_bisect, transition_probability, transition_study,
                       wilson_interval)
-from srlab.model import linear_drift, normal_form
+from srlab.model import custom_drift, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec
 
 
@@ -75,7 +80,7 @@ class TestRunBatch:
         assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_worker_count_invariance_over_chunks(self, setup):
-        # n=1000 at K=4 is two default chunks, so 3 workers run two threads
+        # n=1000 at K=4 is two default chunks, so 3 workers run two processes
         cfg, model, init, exits = setup
         assert -(-1000 * cfg.spec.n_modes // mc.CHUNK_SIZE) == 2
         a = run_batch(cfg, model, init, exits, None, n=1000, n_workers=1)
@@ -135,32 +140,50 @@ class TestRunBatch:
         (16, 7, 17, [1] * 7),             # capped at one row per chunk
     ])
     def test_chunk_plan(self, monkeypatch, K, n, chunk, sizes):
+        # the plan is computed in the calling process, so it is read there;
+        # the chunks themselves may run in worker processes
         if chunk is not None:
             monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
         spec = TorusSpec(1.0, K)
+        plan = mc._chunk_ranges(n, spec.n_modes)
+        assert [len(c) for c in plan] == sizes
+        modes = min(spec.n_modes, 33)
+        assert len(plan) == min(n, -(-n * modes // mc.CHUNK_SIZE))
+        assert all(c.step == 1 for c in plan)
+        assert all(a.stop == b.start for a, b in zip(plan, plan[1:]))
+        assert [i for c in plan for i in c] == list(range(n))
         cfg = make_cfg(spec, sigma=0.08, seed=21)
-        calls = []
+        batches = [run_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
+                             ExitSpec(h_stable=0.12, h_perp=0.5), None, n,
+                             n_workers=workers) for workers in (1, 2)]
+        assert batches[0].outcomes["traj"].tolist() == list(range(n))
+        assert batches[0].outcomes.tobytes() == batches[1].outcomes.tobytes()
 
-        def counting(*args, traj_indices, **kw):
-            calls.append(list(traj_indices))
-            return simulate_batch(*args, traj_indices=traj_indices, **kw)
+    def test_model_that_does_not_pickle_runs_in_process(self, monkeypatch):
+        def no_pool(size):
+            raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(mc, "simulate_batch", counting)
-        plans = {}
-        for workers in (1, 2):
-            calls.clear()
-            batch = run_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
-                              ExitSpec(h_stable=0.12, h_perp=0.5), None, n,
-                              n_workers=workers)
-            plan = sorted(calls)
-            assert [len(c) for c in plan] == sizes
-            modes = min(spec.n_modes, 33)
-            assert len(plan) == min(n, -(-n * modes // mc.CHUNK_SIZE))
-            assert all(c == list(range(c[0], c[-1] + 1)) for c in plan)
-            assert sum(plan, []) == list(range(n))
-            assert batch.outcomes["traj"].tolist() == list(range(n))
-            plans[workers] = plan
-        assert plans[1] == plans[2]
+        monkeypatch.setattr(mc, "_worker_pool", no_pool)
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 20 * 9)
+        spec = TorusSpec(1.0, 4)
+        cfg = make_cfg(spec, sigma=0.08, seed=21)
+        model = custom_drift(lambda t, p: -p - p**3)
+        args = (cfg, model, SpectralField.zero(spec), ExitSpec(h_stable=0.12),
+                None, 60)
+        assert len(mc._chunk_ranges(60, spec.n_modes)) == 3
+        a = run_batch(*args, n_workers=1)
+        b = run_batch(*args, n_workers=2)
+        assert a.outcomes.tobytes() == b.outcomes.tobytes()
+
+    def test_worker_count_is_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        monkeypatch.delenv(mc.WORKERS_ENV_VAR, raising=False)
+        assert mc._n_workers(None) == 3
+        assert [mc._n_workers(w) for w in (64, 3, 2, 0)] == [3, 3, 2, 1]
+        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "64")
+        assert mc._n_workers(None) == 3
+        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "2")
+        assert mc._n_workers(None) == 2
 
     def test_digest_stable_across_reruns(self, setup):
         cfg, model, init, exits = setup
@@ -175,6 +198,51 @@ class TestRunBatch:
         o = batch.outcomes
         for name in ("tau_b", "tau_bperp", "terminal_phi0"):
             assert len(set(o[name].tolist())) == 1
+
+
+_SCRIPT_BATCH = """\
+batch, _, _ = mc.transition_study(None, 0.04, 1e-2, 0.15, 300, K=16, T0=0.05,
+                                  seed=8, n_workers=2)
+print(len(mc._chunk_ranges(300, 33)), batch.n)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="two worker processes need two usable CPUs")
+def test_script_without_main_guard_gets_an_actionable_error(tmp_path):
+    # worker processes import the main script again; unguarded, its batch
+    # runs in each worker at import, and the workers die
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop(mc.WORKERS_ENV_VAR, None)
+    guarded = 'if __name__ == "__main__":\n' + "".join(
+        "    " + line for line in _SCRIPT_BATCH.splitlines(keepends=True))
+    runs = {}
+    for name, body in (("unguarded", _SCRIPT_BATCH), ("guarded", guarded)):
+        script = tmp_path / f"{name}.py"
+        script.write_text("import srlab.mc as mc\n" + body)
+        runs[name] = subprocess.run([sys.executable, str(script)], env=env,
+                                    capture_output=True, text=True,
+                                    timeout=300)
+    bad, good = runs["unguarded"], runs["guarded"]
+    assert bad.returncode != 0
+    # multiprocessing's own message quotes '__main__' in single quotes
+    assert 'if __name__ == "__main__":' in bad.stderr
+    assert "SRLAB_WORKERS=1" in bad.stderr
+    assert good.returncode == 0, good.stderr
+    assert good.stdout.split() == ["2", "300"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="two worker processes need two usable CPUs")
+def test_pool_workers_get_one_blas_thread_unless_set():
+    # the workers fill the CPUs; BLAS threads of their own would oversubscribe
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    seen = mc._worker_pool(2).submit(os.getenv, "OPENBLAS_NUM_THREADS").result(
+        timeout=120)
+    assert seen == (before if before is not None else "1")
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
 
 
 class TestEventProbability:
