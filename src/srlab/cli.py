@@ -3,7 +3,7 @@
 Subcommands: branches | adiabatic | simulate | sweep | threshold |
 variance-check.  Every command reads one config file, writes CSVs with a
 fixed column order and locale-independent full-precision formatting, and
-drops a JSON manifest holding the config snapshot, master seed, and output
+drops a JSON manifest holding the config text, master seed, and output
 digests; re-running with the same config reproduces every CSV bitwise
 (worker count never affects results; SRLAB_WORKERS bounds the worker
 processes, and 1 runs every batch in-process).
@@ -37,7 +37,7 @@ from .integrator import (STEPS_PER_EPS, ExitSpec, NonFinite, SimConfig,
                          simulate_batch)
 from .mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                  event_probability, fit_line, mode_variance_report, run_batch,
-                 threshold_bisect, transition_study, ExitStatistics)
+                 threshold_bisect, transition_study)
 from .model import (DriftModel, RootBracketExhausted, allen_cahn,
                     equilibrium_branches, linear_drift, normal_form)
 from .spectral import SpectralField, TorusSpec
@@ -99,7 +99,6 @@ class Manifest:
             "tool_version": __version__,
             "command": command,
             "master_seed": int(seed),
-            "config_snapshot": cfg.snapshot(),
             "config_text": serialize_config(cfg),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "finished_at": None,
@@ -148,8 +147,7 @@ def _sim_config(cfg: RunConfig, seed: int,
                      sigma=cfg.sim.sigma if sigma is None else sigma, dt=dt,
                      spec=_torus(cfg), t_start=t_start, t_end=t_end,
                      s_monitor=cfg.sim.s_monitor, seed=seed,
-                     record_stride=cfg.sim.record_stride,
-                     stop_on_d0=cfg.sim.stop_on_d0)
+                     record_stride=cfg.sim.record_stride)
 
 
 def _exits(cfg: RunConfig) -> ExitSpec:
@@ -253,8 +251,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
 _SWEEP_HEADER = ["delta", "eps", "sigma", "h", "h_perp", "n", "p_hat",
                  "ci_low", "ci_high", "event"]
 
+# the [exits] radius that a [sweep] h_values entry sets, by event
+_RADIUS_FIELD = {ExitEvent.EXIT_B: "h_stable", ExitEvent.EXIT_B0: "h",
+                 ExitEvent.EXIT_BPERP: "h_perp"}
+
 
 def _sweep_cells(cfg: RunConfig):
+    if cfg.sweep.h_values and ExitEvent(cfg.mc.event) not in _RADIUS_FIELD:
+        raise ConfigError(f"[sweep] h_values: [mc] event = {cfg.mc.event} "
+                          "has no radius to vary; leave h_values unset")
     deltas = cfg.sweep.delta_values or (cfg.model.delta,)
     sigmas = cfg.sweep.sigma_values or (cfg.sim.sigma,)
     hs = cfg.sweep.h_values or (None,)
@@ -299,11 +304,7 @@ def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
     sim = _sim_config(cfg, seed, sigma)
     exits = _exits(cfg)
     if h is not None:
-        field_by_event = {ExitEvent.EXIT_B: "h_stable", ExitEvent.EXIT_B0: "h",
-                          ExitEvent.EXIT_BPERP: "h_perp"}
-        name = field_by_event.get(event)
-        if name is not None:
-            exits = dataclasses.replace(exits, **{name: float(h)})
+        exits = dataclasses.replace(exits, **{_RADIUS_FIELD[event]: float(h)})
     frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
     init = _init_field(cfg, model, sim, frame)
     batch = run_batch(sim, model, init, exits, frame, n)
@@ -366,68 +367,37 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     return EXIT_OK
 
 
-def _parse_synthetic(text: str):
-    """`logistic:prefactor=1.0,exponent=0.75,sharpness=8` -> callable factory."""
-    if not text:
-        return None
-    try:
-        kind, _, argstr = text.partition(":")
-        kv = dict(item.split("=") for item in argstr.split(",") if item)
-        pref = float(kv.get("prefactor", 1.0))
-        expo = float(kv.get("exponent", 0.75))
-        sharp = float(kv.get("sharpness", 8.0))
-    except ValueError:
-        raise ConfigError(f"[threshold] synthetic: cannot parse {text!r}") from None
-    if kind != "logistic":
-        raise ConfigError(f"[threshold] synthetic: unknown kind {kind!r}")
-
-    def factory(delta: float, eps: float):
-        sigma_star = pref * max(delta, eps) ** expo
-
-        def prob(sigma: float, probe_seed: int) -> ExitStatistics:
-            p = 1.0 / (1.0 + (sigma_star / sigma) ** sharp)
-            return ExitStatistics(p_hat=p, ci_low=p, ci_high=p, n=0,
-                                  event=ExitEvent.TRANSITION,
-                                  successes=0)
-        return prob
-
-    return factory
-
-
 def cmd_threshold(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     deltas = cfg.threshold.delta_values
     if not deltas:
         raise ConfigError("[threshold] delta_values: must be non-empty")
-    synthetic = _parse_synthetic(cfg.threshold.synthetic)
     eps = cfg.sim.epsilon
     rows, xs, ys = [], [], []
     probes_extras = {}
     failures = 0
     for i, delta in enumerate(deltas):
         seed_d = derive_seed(seed, 1000 + i)
-        if synthetic is None:
-            model, exits, kwargs = _transition_setup(cfg, float(delta))
-            kwargs["exits"], prob_fn = exits, None
-        else:
-            model, kwargs, prob_fn = None, {}, synthetic(delta, eps)
+        model, exits, kwargs = _transition_setup(cfg, float(delta))
         try:
             sig, st, probes = threshold_bisect(
                 model, float(delta), eps, cfg.threshold.n,
                 tol=cfg.threshold.tol, sigma_lo=cfg.threshold.sigma_lo,
-                sigma_hi=cfg.threshold.sigma_hi, prob_fn=prob_fn,
-                master_seed=seed_d, **kwargs)
+                sigma_hi=cfg.threshold.sigma_hi, master_seed=seed_d,
+                exits=exits, **kwargs)
         except BracketNotFound as exc:
             print(f"srlab threshold: delta={delta}: {exc}", file=sys.stderr)
-            rows.append([delta, None, None, None, None, cfg.threshold.n, 0])
+            probes = exc.probes
+            rows.append([delta, None, None, None, None, cfg.threshold.n,
+                         len(probes)])
             failures += 1
-            continue
-        rows.append([delta, sig, st.p_hat, st.ci_low, st.ci_high, st.n,
-                     len(probes)])
+        else:
+            rows.append([delta, sig, st.p_hat, st.ci_low, st.ci_high, st.n,
+                         len(probes)])
+            xs.append(math.log(max(delta, eps)))
+            ys.append(math.log(sig))
         probes_extras[str(delta)] = [
             {"sigma": s_, "seed": sd, "p_hat": stt.p_hat}
             for (s_, sd, stt) in probes]
-        xs.append(math.log(max(delta, eps)))
-        ys.append(math.log(sig))
     path = out_dir / "threshold.csv"
     _write_csv(path, ["delta", "sigma_star", "p_hat", "ci_low", "ci_high",
                       "n", "n_probes"], rows)

@@ -53,7 +53,6 @@ class SimSection:
     seed: int = 12345
     record_stride: int = 1
     init: str = "branch"                # branch | adiabatic | zero | const:<v>
-    stop_on_d0: bool = True
 
 
 @dataclass
@@ -96,7 +95,6 @@ class ThresholdSection:
     tol: float = 0.1
     sigma_lo: Optional[float] = None
     sigma_hi: Optional[float] = None
-    synthetic: str = ""   # e.g. "logistic:prefactor=1.0,exponent=0.75,sharpness=8"
 
 
 @dataclass
@@ -109,13 +107,6 @@ class RunConfig:
     mc: McSection = field(default_factory=McSection)
     sweep: SweepSection = field(default_factory=SweepSection)
     threshold: ThresholdSection = field(default_factory=ThresholdSection)
-
-    def snapshot(self) -> dict:
-        return asdict(self)
-
-
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
 
 
 def _coerce(section: str, key: str, text: str, ftype):
@@ -130,13 +121,6 @@ def _coerce(section: str, key: str, text: str, ftype):
             return float(text)
         if ftype is int:
             return int(text)
-        if ftype is bool:
-            low = text.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if ftype is str:
             return text
         if ftype is tuple:
@@ -260,8 +244,6 @@ def _validate(cfg: RunConfig):
 def _format_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ", ".join(repr(float(x)) for x in v)
     if isinstance(v, float):

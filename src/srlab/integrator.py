@@ -76,7 +76,6 @@ class SimConfig:
     s_monitor: float = 0.4
     seed: int = 0
     record_stride: int = 1
-    stop_on_d0: bool = True
     record_fields: bool = False
 
     def __post_init__(self):
@@ -174,11 +173,10 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     Per-trajectory noise comes from streams keyed by (cfg.seed, trajectory
     index, mode), so the result does not depend on how trajectories are
     grouped into batches.  The working arrays hold active trajectories only:
-    a row that reaches -d0 (with ``stop_on_d0``) or blows up leaves them
-    after that step, and each working row writes its outcomes back to its
-    original position.  Returns the outcome record (module docstring), one
-    row per entry of ``traj_indices``, with the series when
-    ``collect_series``.
+    a row that reaches -d0 or blows up leaves them after that step, and each
+    working row writes its outcomes back to its original position.  Returns
+    the outcome record (module docstring), one row per entry of
+    ``traj_indices``, with the series when ``collect_series``.
     """
     spec = cfg.spec
     if init.spec != spec:
@@ -314,7 +312,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             if exits.d0_level is not None:
                 hit = v0 <= -exits.d0_level
                 mark(tau_d0, hit)
-                if cfg.stop_on_d0 and hit.any():
+                if hit.any():
                     retire(hit, v0)
 
             if record_now:
@@ -333,20 +331,16 @@ def simulate_linear_mode(k: int, a_of_t: Callable, cfg: SimConfig,
 
         d psi_k = (1/eps)(-mu_k + a(t)) psi_k dt + (sigma/sqrt(eps)) dW_k .
 
-    Per step the mean factor uses the trapezoidal integral of a(t) (exact for
-    frozen coefficients) and the Gaussian increment the matching closed-form
-    variance.  Returns paths sampled at the record times, shape
-    (n_paths, n_rec).
+    ``a_of_t`` is called once on the array of step times; a scalar result is
+    a constant coefficient.  Per step the mean factor uses the trapezoidal
+    integral of a(t) (exact for frozen coefficients) and the Gaussian
+    increment the matching closed-form variance.  Returns paths sampled at
+    the record times, shape (n_paths, n_rec).
     """
     mu_k = (k * np.pi / cfg.spec.L) ** 2
     times = cfg.times()
-    try:
-        a_vals = np.asarray(a_of_t(times), dtype=float)
-        if a_vals.shape != times.shape:
-            raise TypeError
-    except TypeError:
-        a_vals = np.array([float(a_of_t(t)) for t in times])
-    abar_k = -mu_k + a_vals
+    abar_k = -mu_k + np.broadcast_to(np.asarray(a_of_t(times), dtype=float),
+                                     times.shape)
     if np.max(abar_k) >= 0:
         raise ValueError(f"mode {k} is not contracting on the time range")
 

@@ -12,7 +12,8 @@ whose model does not pickle (a ``custom_drift`` of lambdas, say) run in the
 calling process.
 Probabilities carry Wilson 95% intervals, which behave correctly at the
 extreme rates these experiments live at.  Log-probability and log-threshold
-fits are plain least squares on points with at least five successes.
+fits are plain least squares; the concentration fit keeps only radii with at
+least five successes and p_hat in (0, 1).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 import os
 import pickle
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +84,12 @@ class DegeneratePoints(RuntimeError):
 
 
 class BracketNotFound(RuntimeError):
-    """No sigma bracket with p < 0.25 on one side and p > 0.75 on the other."""
+    """No sigma bracket with p < 0.25 on one side and p > 0.75 on the other;
+    ``probes`` lists every (sigma, seed, stats) evaluated in the search."""
+
+    def __init__(self, message: str, probes: Sequence = ()):
+        super().__init__(message)
+        self.probes = list(probes)
 
 
 class ExitEvent(enum.Enum):
@@ -299,9 +305,7 @@ def fit_line(x: Sequence[float], y: Sequence[float]) -> FitResult:
 
 def concentration_fit(model: DriftModel, cfg_base: SimConfig,
                       exits_template: ExitSpec, h_values: Sequence[float],
-                      n: int, init: Optional[SpectralField] = None,
-                      frame: Optional[AdiabaticFrame] = None,
-                      n_workers: Optional[int] = None) -> FitResult:
+                      n: int) -> FitResult:
     """Fit log p(exit from B(h)) against h^2/sigma^2; slope estimates -kappa.
 
     One batch per radius, all with the same master seed, so p(h) inherits the
@@ -312,13 +316,12 @@ def concentration_fit(model: DriftModel, cfg_base: SimConfig,
         raise DegeneratePoints("need at least 3 radii")
     if max(h_values) < 2.0 * min(h_values):
         raise ValueError("h_values should span at least a factor 2")
-    if init is None:
-        init = SpectralField.constant(
-            cfg_base.spec, equilibrium_branches(model, cfg_base.t_start).root())
+    init = SpectralField.constant(
+        cfg_base.spec, equilibrium_branches(model, cfg_base.t_start).root())
     pts, details = [], []
     for h in h_values:
         exits = replace(exits_template, h_stable=float(h))
-        batch = run_batch(cfg_base, model, init, exits, frame, n, n_workers)
+        batch = run_batch(cfg_base, model, init, exits, None, n)
         st = event_probability(batch, ExitEvent.EXIT_B, horizon=cfg_base.t_end)
         details.append((float(h), st))
         if st.successes >= MIN_FIT_SUCCESSES and 0.0 < st.p_hat < 1.0:
@@ -330,9 +333,11 @@ def concentration_fit(model: DriftModel, cfg_base: SimConfig,
     return replace(fit, details=tuple(details))
 
 
-def _default_levels(model: DriftModel, delta: float, eps: float, T0: float,
-                    bracket: float = 3.0) -> tuple[float, float]:
-    """d = half the minimal stable/unstable branch gap, d0 = 2d, clipped."""
+def _default_levels(model: DriftModel, delta: float, eps: float,
+                    T0: float) -> tuple[float, float]:
+    """d = half the minimal stable/unstable branch gap, d0 = 2d, clipped to
+    the root bracket [-3, 3]."""
+    bracket = 3.0
     gaps = []
     for t in np.linspace(-T0, T0, 17):
         bs = equilibrium_branches(model, t, bracket=bracket)
@@ -373,8 +378,7 @@ def transition_study(model: Optional[DriftModel], delta: float, eps: float,
     n_steps = int(round(2.0 * T0 / dt))
     spec = TorusSpec(L=L, K=K, n_grid=n_grid)
     cfg = SimConfig(eps=eps, sigma=sigma, dt=dt, spec=spec,
-                    t_start=-T0, t_end=-T0 + n_steps * dt, seed=seed,
-                    record_stride=max(1, n_steps // 64))
+                    t_start=-T0, t_end=-T0 + n_steps * dt, seed=seed)
     if exits is None:
         d, d0 = _default_levels(model, delta, eps, T0)
         exits = ExitSpec(d_level=d, d0_level=d0, h_perp=h_perp)
@@ -388,16 +392,8 @@ def transition_probability(model: Optional[DriftModel], delta: float, eps: float
                            exits: Optional[ExitSpec] = None,
                            **kwargs) -> ExitStatistics:
     """P(phi0 crosses -d and then reaches -d0 before the end of the window)."""
-    if sigma == 0.0:
-        # all sigma=0 trajectories coincide; one run decides the common outcome
-        batch, cfg, _ = transition_study(model, delta, eps, 0.0, 1, exits, **kwargs)
-        det = event_probability(batch, ExitEvent.TRANSITION, cfg.t_end)
-        successes = n if det.successes else 0
-        p, lo, hi = wilson_interval(successes, n)
-        return ExitStatistics(p_hat=p, ci_low=lo, ci_high=hi, n=n,
-                              event=ExitEvent.TRANSITION, successes=successes)
-    batch, cfg, exits = transition_study(model, delta, eps, sigma, n, exits,
-                                         **kwargs)
+    batch, cfg, _ = transition_study(model, delta, eps, sigma, n, exits,
+                                     **kwargs)
     return event_probability(batch, ExitEvent.TRANSITION, horizon=cfg.t_end)
 
 
@@ -405,24 +401,21 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
                      n: int, tol: float = 0.1,
                      sigma_lo: Optional[float] = None,
                      sigma_hi: Optional[float] = None,
-                     prob_fn: Optional[Callable] = None,
                      master_seed: int = 0, max_probes: int = 28,
                      **kwargs):
     """Locate sigma* with p(transition) ~ 1/2 by bisection in log sigma.
 
     Stops when the Wilson CI at the midpoint contains 1/2 or when the log
     bracket is narrower than tol.  Returns (sigma_star, stats, probes) where
-    probes lists every (sigma, seed, stats) evaluated.
+    probes lists every (sigma, seed, stats) evaluated; BracketNotFound
+    carries the probes of the failed search.
     """
     probes: list = []
 
     def evaluate(sig: float) -> ExitStatistics:
         probe_seed = _streams.derive_seed(master_seed, len(probes))
-        if prob_fn is not None:
-            st = prob_fn(sig, probe_seed)
-        else:
-            st = transition_probability(model, delta, eps, sig, n,
-                                        seed=probe_seed, **kwargs)
+        st = transition_probability(model, delta, eps, sig, n,
+                                    seed=probe_seed, **kwargs)
         probes.append((float(sig), int(probe_seed), st))
         return st
 
@@ -441,7 +434,7 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
     if p_lo.p_hat >= 0.25 or p_hi.p_hat <= 0.75:
         raise BracketNotFound(
             f"no bracket found for delta={delta}: p({lo:.4g})={p_lo.p_hat:.3f}, "
-            f"p({hi:.4g})={p_hi.p_hat:.3f}")
+            f"p({hi:.4g})={p_hi.p_hat:.3f}", probes)
 
     st = None
     while np.log(hi / lo) >= tol and len(probes) < max_probes:
@@ -461,14 +454,11 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
 
 def scaling_exponent(model: Optional[DriftModel], delta_values: Sequence[float],
                      eps: float, n: int, tol: float = 0.1,
-                     master_seed: int = 0,
-                     prob_fn_factory: Optional[Callable] = None,
-                     **kwargs) -> FitResult:
+                     master_seed: int = 0, **kwargs) -> FitResult:
     """Fit log sigma* against log(delta v eps); the slope estimates 3/4.
 
     Requires delta >= 4 eps (so delta v eps = delta) and a delta span of at
-    least one decade.  ``prob_fn_factory(delta, eps)`` may inject a synthetic
-    probability curve (test hook).
+    least one decade.
     """
     deltas = sorted(float(d) for d in delta_values)
     if len(deltas) < 3:
@@ -480,9 +470,7 @@ def scaling_exponent(model: Optional[DriftModel], delta_values: Sequence[float],
     xs, ys, details = [], [], []
     for i, d in enumerate(deltas):
         seed_d = _streams.derive_seed(master_seed, 1000 + i)
-        prob_fn = prob_fn_factory(d, eps) if prob_fn_factory is not None else None
         sig, st, probes = threshold_bisect(model, d, eps, n, tol=tol,
-                                           prob_fn=prob_fn,
                                            master_seed=seed_d, **kwargs)
         xs.append(np.log(max(d, eps)))
         ys.append(np.log(sig))
@@ -491,25 +479,24 @@ def scaling_exponent(model: Optional[DriftModel], delta_values: Sequence[float],
     return replace(fit, details=tuple(details))
 
 
-def mode_variance_report(cfg: SimConfig, n: int, k_max: int,
-                         a: float | Callable = -1.0):
-    """Per-mode variance table for the linear equation against the <k>^-2 law.
+def mode_variance_report(cfg: SimConfig, n: int, k_max: int, a: float = -1.0):
+    """Per-mode variance table for the linear equation with the constant
+    coefficient ``a``, against the <k>^-2 law.
 
     Uses the exact-in-distribution scalar sampler for each mode.  Returns
     (rows, c0_fit): one row per k with the stationary-variance estimate (at
     the final recorded time), its standard error, the sup over recorded
-    times, and the exact Ornstein-Uhlenbeck value for frozen coefficients;
+    times, and the exact Ornstein-Uhlenbeck value;
     c0_fit = max_k sup-variance * <k>^2 / sigma^2.
     """
     if n < 2:
         raise ValueError("need n >= 2 paths")
-    a_of_t = a if callable(a) else (lambda t, _a=float(a): _a * np.ones_like(np.asarray(t, dtype=float)))
-    frozen = None if callable(a) else float(a)
+    a = float(a)
     rows = []
     c0 = 0.0
     for k in range(0, k_max + 1):
         mu_k = (k * np.pi / cfg.spec.L) ** 2
-        paths = simulate_linear_mode(k, a_of_t, cfg, n_paths=n)
+        paths = simulate_linear_mode(k, lambda t: a, cfg, n_paths=n)
         variances = paths.var(axis=0, ddof=1)
         var_final = float(variances[-1])
         var_sup = float(variances.max())
@@ -517,8 +504,7 @@ def mode_variance_report(cfg: SimConfig, n: int, k_max: int,
         bracket2 = 1.0 + k * k
         ratio = var_sup * bracket2 / cfg.sigma**2
         c0 = max(c0, ratio)
-        exact = (cfg.sigma**2 / (2.0 * (mu_k - frozen))
-                 if frozen is not None else np.nan)
+        exact = cfg.sigma**2 / (2.0 * (mu_k - a))
         rows.append({"k": k, "mu_k": mu_k, "var_final": var_final,
                      "se_final": float(se_final), "var_sup": var_sup,
                      "exact_var": float(exact),

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from srlab.config import ConfigError, parse_config_text, serialize_config
 from srlab.integrator import ExitSpec
 from srlab.mc import transition_probability
 from srlab.model import normal_form
+from test_mc import logistic_transition
 
 BASE = """
 [torus]
@@ -61,6 +63,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("[torus]\nQ = 3\n")
 
+    @pytest.mark.parametrize("section,line", [
+        ("sim", "stop_on_d0 = false"),
+        ("threshold", "synthetic = logistic:prefactor=1.0")],
+        ids=["stop_on_d0", "synthetic"])
+    def test_removed_keys_are_unknown(self, section, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"[{section}]\n{line}\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[quantum]\nfoo = 1\n")
@@ -87,6 +97,15 @@ class TestConfig:
         cfg = parse_config_text("[sweep]\nsigma_values = 0.1, 0.2, 0.4\n")
         assert cfg.sweep.sigma_values == (0.1, 0.2, 0.4)
 
+    def test_readme_example_parses(self):
+        # a key removed from the schema cannot linger in the README example
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        cfg = parse_config_text(blocks[0], source="README.md")
+        assert cfg.model.kind == "normal-form" and cfg.torus.K == 16
+
 
 class TestExitCodes:
     def test_config_error_is_1(self, tmp_path, capsys):
@@ -98,7 +117,8 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 1
 
     def test_blowup_is_2(self, tmp_path, capsys):
-        # strong noise, no d0 stop: the quadratic drift escapes to -infinity
+        # strong noise, no d0 level to stop at: the quadratic drift escapes
+        # to -infinity
         text = BASE + """
 [exits]
 
@@ -106,7 +126,6 @@ class TestExitCodes:
 """
         cfg = parse_config_text(text)
         cfg.sim.sigma = 0.6
-        cfg.sim.stop_on_d0 = False
         cfg.sim.record_stride = 50
         path = write_cfg(tmp_path, serialize_config(cfg))
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
@@ -210,9 +229,14 @@ class TestExitCodes:
          "[adiabatic] t_points"),
         ("threshold", BASE + "\n[threshold]\ndelta_values = 0.04\n"
          "sigma_lo = 0.5\nsigma_hi = 0.1\n", "[threshold] sigma_lo"),
+        # h_values set no radius of a level-crossing event
+        ("sweep", BASE.replace("K = 4", "K = 2").replace(
+            "epsilon = 0.001", "epsilon = 0.01") + "\n[mc]\nn = 40\n"
+         "event = cross-minus-d\n\n[sweep]\nh_values = 0.1, 0.5\n",
+         "[sweep] h_values: [mc] event = cross-minus-d"),
     ], ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
             "branch-middle", "k-max-negative", "max-cells-negative",
-            "t-points-zero", "sigma-lo-above-hi"])
+            "t-points-zero", "sigma-lo-above-hi", "h-values-without-radius"])
     def test_value_that_ran_silently_is_1(self, tmp_path, capsys, command, text,
                                           field):
         path = write_cfg(tmp_path, text)
@@ -238,14 +262,20 @@ class TestExitCodes:
         assert main(["branches", "--config", path, "--out", str(tmp_path)]) == 3
         assert "no root" in capsys.readouterr().err
 
-    def test_bracket_failure_is_3(self, tmp_path):
+    def test_bracket_failure_is_3(self, tmp_path, monkeypatch):
+        calls = logistic_transition(monkeypatch, lambda d, e: 1e9)
         text = BASE + """
 [threshold]
 delta_values = 0.04
-synthetic = logistic:prefactor=1e9,exponent=0.75,sharpness=8
 """
         path = write_cfg(tmp_path, text)
         assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == 3
+        # the failed search is recorded: every probe it ran, and their count
+        _, rows = read_csv(tmp_path / "threshold.csv")
+        assert len(calls) == 28 and rows[0][6] == "28"
+        man = json.loads((tmp_path / "threshold_manifest.json").read_text())
+        probes = man["extras"]["bisection_probes"]["0.04"]
+        assert [p["seed"] for p in probes] == calls
 
 
 class TestBranchesCommand:
@@ -538,12 +568,13 @@ sigma_values = 0.15
 
 
 class TestThresholdCommand:
-    def test_synthetic_exact_scaling(self, tmp_path):
+    def test_synthetic_exact_scaling(self, tmp_path, monkeypatch):
+        logistic_transition(monkeypatch, lambda d, e: 0.9 * max(d, e) ** 0.75,
+                            sharpness=32.0)
         text = BASE + """
 [threshold]
 delta_values = 0.01, 0.02, 0.04, 0.08, 0.16
 tol = 0.005
-synthetic = logistic:prefactor=0.9,exponent=0.75,sharpness=32
 """
         path = write_cfg(tmp_path, text)
         assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == 0

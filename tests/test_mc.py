@@ -320,29 +320,39 @@ class TestConcentrationFit:
                               n=10)
 
 
-def logistic_prob_fn(sigma_star, sharpness=8.0):
-    def prob(sigma, probe_seed):
-        p = 1.0 / (1.0 + (sigma_star / sigma) ** sharpness)
+def logistic_transition(monkeypatch, sigma_star, sharpness=8.0):
+    """Make mc.transition_probability the exact logistic curve in sigma with
+    midpoint sigma_star(delta, eps); returns the list of its calls."""
+    calls = []
+
+    def prob(model, delta, eps, sigma, n, exits=None, **kwargs):
+        calls.append(kwargs["seed"])
+        p = 1.0 / (1.0 + (sigma_star(delta, eps) / sigma) ** sharpness)
         return ExitStatistics(p_hat=p, ci_low=p, ci_high=p, n=0,
                               event=ExitEvent.TRANSITION)
-    return prob
+
+    monkeypatch.setattr(mc, "transition_probability", prob)
+    return calls
 
 
 class TestThresholdBisect:
-    def test_synthetic_logistic(self):
+    def test_synthetic_logistic(self, monkeypatch):
         tol = 0.05
-        sig, st, probes = threshold_bisect(None, 0.04, 1e-3, n=100, tol=tol,
-                                           prob_fn=logistic_prob_fn(0.1))
+        logistic_transition(monkeypatch, lambda d, e: 0.1)
+        sig, st, probes = threshold_bisect(None, 0.04, 1e-3, n=100, tol=tol)
         assert abs(np.log(sig / 0.1)) <= tol
 
-    def test_bracket_not_found(self):
-        with pytest.raises(BracketNotFound):
-            threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.1,
-                             prob_fn=logistic_prob_fn(1e9), max_probes=6)
+    def test_bracket_not_found(self, monkeypatch):
+        calls = logistic_transition(monkeypatch, lambda d, e: 1e9)
+        with pytest.raises(BracketNotFound) as info:
+            threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.1, max_probes=6)
+        # the failed search still reports every probe it ran
+        assert len(info.value.probes) == len(calls) == 6
+        assert [s for _, s, _ in info.value.probes] == calls
 
-    def test_probes_are_recorded_with_seeds(self):
+    def test_probes_are_recorded_with_seeds(self, monkeypatch):
+        logistic_transition(monkeypatch, lambda d, e: 0.09)
         _, _, probes = threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.2,
-                                        prob_fn=logistic_prob_fn(0.09),
                                         master_seed=4)
         assert len(probes) >= 3
         seeds = [s for _, s, _ in probes]
@@ -350,12 +360,11 @@ class TestThresholdBisect:
 
 
 class TestScalingExponent:
-    def test_synthetic_exact_power_law(self):
-        def factory(delta, eps):
-            return logistic_prob_fn(max(delta, eps) ** 0.75, sharpness=64.0)
-
+    def test_synthetic_exact_power_law(self, monkeypatch):
+        logistic_transition(monkeypatch, lambda d, e: max(d, e) ** 0.75,
+                            sharpness=64.0)
         fit = scaling_exponent(None, [0.01, 0.02, 0.04, 0.08, 0.16], 1e-3,
-                               n=10, tol=0.01, prob_fn_factory=factory)
+                               n=10, tol=0.01)
         assert fit.slope == pytest.approx(0.75, abs=0.01)
         assert fit.r_squared >= 0.999
 
