@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import STEPS_PER_EPS, SimConfig, simulate_batch
+from .integrator import SimConfig, simulate_batch, step_grid
 from .model import DriftModel, equilibrium_branches
 from .spectral import SpectralField, TorusSpec
 
@@ -55,8 +55,6 @@ class OutOfRange(ValueError):
 class AdiabaticFrame:
     """Sampled deterministic objects on a uniform t-grid over [-T0, T0]."""
 
-    model: DriftModel
-    eps: float
     t_grid: np.ndarray
     phibar: np.ndarray
     phihat: np.ndarray
@@ -184,25 +182,24 @@ def build_frame(model: DriftModel, eps: float, T0: float,
                alphabar_cum, alphahat_cum)
     for arr in columns:
         arr.flags.writeable = False
-    return AdiabaticFrame(model, eps, *columns)
+    return AdiabaticFrame(*columns)
 
 
 def deterministic_pde_track(model: DriftModel, eps: float, spec: TorusSpec,
-                            T: float, branch: str = "upper",
-                            dt: Optional[float] = None,
-                            record_stride: int = 1):
-    """Deterministic (sigma=0) field trajectory from the branch state at t=0.
+                            T: float, record_stride: int = 1):
+    """Deterministic (sigma=0) field trajectory from the upper stable branch
+    state at t=0.
 
-    Runs the stochastic integrator at sigma=0 from phi(0, .) = phi*(0) e_0
-    over [0, T]; returns (times, fields).  The max H^1 distance to the moving
-    branch is O(eps), and the transverse part stays at roundoff since the
-    constant modes form an invariant subspace of the deterministic flow.
+    Runs the stochastic integrator at sigma=0 and the default step from
+    phi(0, .) = phi*(0) e_0 over [0, T]; returns (times, fields).  The max
+    H^1 distance to the moving branch is O(eps), and the transverse part
+    stays at roundoff since the constant modes form an invariant subspace of
+    the deterministic flow.
     """
-    init = SpectralField.constant(spec, equilibrium_branches(model, 0.0).root(branch))
-    dt = eps / STEPS_PER_EPS if dt is None else dt
-    n_steps = max(1, int(round(T / dt)))
+    init = SpectralField.constant(spec, equilibrium_branches(model, 0.0).root())
+    dt, t_end = step_grid(eps, 0.0, T)
     cfg = SimConfig(eps=eps, sigma=0.0, dt=dt, spec=spec, t_start=0.0,
-                    t_end=n_steps * dt, record_stride=record_stride,
+                    t_end=t_end, record_stride=record_stride,
                     record_fields=True)
     rec = simulate_batch(cfg, model, init, None)[0]
     return cfg.record_times(), [SpectralField(spec, c) for c in rec["fields"]]

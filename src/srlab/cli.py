@@ -33,9 +33,9 @@ from ._streams import derive_seed
 from .adiabatic import FRAME_COLUMNS, StiffnessFailure, build_frame
 from .config import (ConfigError, RunConfig, parse_config, serialize_config,
                      sim_window)
-from .integrator import (STEPS_PER_EPS, ExitSpec, NonFinite, SimConfig,
-                         simulate_batch)
-from .mc import (BracketNotFound, DegeneratePoints, ExitEvent,
+from .integrator import (TAU_COLUMN, ExitSpec, NonFinite, SimConfig,
+                         simulate_batch, step_grid)
+from .mc import (EVENT_FIELD, BracketNotFound, DegeneratePoints, ExitEvent,
                  event_probability, fit_line, mode_variance_report, run_batch,
                  threshold_bisect, transition_study)
 from .model import (DriftModel, RootBracketExhausted, allen_cahn,
@@ -93,12 +93,12 @@ def _sha256(path: Path) -> str:
 
 
 class Manifest:
-    def __init__(self, command: str, cfg: RunConfig, seed: int):
+    def __init__(self, command: str, cfg: RunConfig):
         self.data = {
             "tool": "srlab",
             "tool_version": __version__,
             "command": command,
-            "master_seed": int(seed),
+            "master_seed": cfg.sim.seed,
             "config_text": serialize_config(cfg),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "finished_at": None,
@@ -116,12 +116,14 @@ class Manifest:
         _replace_file(path, text.encode("utf-8"))
 
 
-def build_model(cfg: RunConfig) -> DriftModel:
+def build_model(cfg: RunConfig, delta: Optional[float] = None) -> DriftModel:
+    """The configured drift; ``delta`` overrides [model] delta, which only
+    the normal form reads."""
     m = cfg.model
     if m.kind == "allen-cahn":
         return allen_cahn(m.amplitude)
     if m.kind == "normal-form":
-        return normal_form(m.delta, m.cubic, m.a1)
+        return normal_form(m.delta if delta is None else delta, m.cubic, m.a1)
     if m.kind == "linear":
         return linear_drift(m.a, m.c)
     raise ConfigError(f"[model] kind: unknown drift kind {m.kind!r}")
@@ -131,29 +133,16 @@ def _torus(cfg: RunConfig) -> TorusSpec:
     return TorusSpec(L=cfg.torus.L, K=cfg.torus.K, n_grid=cfg.torus.n_grid)
 
 
-def _resolve_times(cfg: RunConfig) -> tuple[float, float, float]:
-    """(t_start, t_end, dt) with defaults: the bifurcation window or [0, 1]."""
+def _sim_config(cfg: RunConfig, sigma: Optional[float] = None) -> SimConfig:
+    """The engine setup of a run on the [sim] window, snapped to whole steps;
+    ``sigma`` overrides [sim] sigma."""
     t_start, t_end = sim_window(cfg)
-    dt = cfg.sim.epsilon / STEPS_PER_EPS if cfg.sim.dt is None else cfg.sim.dt
-    n = max(1, int(round((t_end - t_start) / dt)))
-    return t_start, t_start + n * dt, dt
-
-
-def _sim_config(cfg: RunConfig, seed: int,
-                sigma: Optional[float] = None) -> SimConfig:
-    """The engine setup of a run; ``sigma`` overrides [sim] sigma."""
-    t_start, t_end, dt = _resolve_times(cfg)
+    dt, t_end = step_grid(cfg.sim.epsilon, t_start, t_end, cfg.sim.dt)
     return SimConfig(eps=cfg.sim.epsilon,
                      sigma=cfg.sim.sigma if sigma is None else sigma, dt=dt,
                      spec=_torus(cfg), t_start=t_start, t_end=t_end,
-                     s_monitor=cfg.sim.s_monitor, seed=seed,
+                     s_monitor=cfg.sim.s_monitor, seed=cfg.sim.seed,
                      record_stride=cfg.sim.record_stride)
-
-
-def _exits(cfg: RunConfig) -> ExitSpec:
-    e = cfg.exits
-    return ExitSpec(h=e.h, h_perp=e.h_perp, h_stable=e.h_stable,
-                    d_level=e.d_level, d0_level=e.d0_level)
 
 
 def _needs_frame(cfg: RunConfig, exits: ExitSpec) -> bool:
@@ -190,10 +179,10 @@ def _init_field(cfg: RunConfig, model: DriftModel, sim: SimConfig,
     return SpectralField.constant(spec, root)
 
 
-def cmd_branches(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
+def cmd_branches(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     model = build_model(cfg)
-    t_start, t_end, _ = _resolve_times(cfg)
-    ts = np.linspace(t_start, t_end, cfg.adiabatic.t_points)
+    sim = _sim_config(cfg)
+    ts = np.linspace(sim.t_start, sim.t_end, cfg.adiabatic.t_points)
     rows = []
     for t in ts:
         bs = equilibrium_branches(model, float(t))
@@ -207,39 +196,39 @@ def cmd_branches(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     path = out_dir / "branches.csv"
     _write_csv(path, ["t", "root_1", "stab_1", "a_1", "root_2", "stab_2",
                       "a_2", "root_3", "stab_3", "a_3"], rows)
-    manifest = Manifest("branches", cfg, seed)
+    manifest = Manifest("branches", cfg)
     manifest.add_output(path)
     manifest.write(out_dir / "branches_manifest.json")
     return EXIT_OK
 
 
-def cmd_adiabatic(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
+def cmd_adiabatic(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     frame = _build_frame(cfg, build_model(cfg))
     cols = frame.columns()
     rows = zip(*[cols[name] for name in FRAME_COLUMNS])
     path = out_dir / "adiabatic.csv"
     _write_csv(path, list(FRAME_COLUMNS), rows)
-    manifest = Manifest("adiabatic", cfg, seed)
+    manifest = Manifest("adiabatic", cfg)
     manifest.add_output(path)
     manifest.write(out_dir / "adiabatic_manifest.json")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     model = build_model(cfg)
-    sim = _sim_config(cfg, seed)
-    exits = _exits(cfg)
+    sim = _sim_config(cfg)
+    exits = cfg.exits
     frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
     init = _init_field(cfg, model, sim, frame)
     rec = simulate_batch(sim, model, init, exits, frame)[0]
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "phi0", "perp_hs"],
                zip(sim.record_times(), rec["phi0"], rec["perp_hs"]))
-    manifest = Manifest("simulate", cfg, seed)
+    manifest = Manifest("simulate", cfg)
     manifest.add_output(path)
     extras = manifest.data["extras"]
-    extras["hitting_times"] = {name: float(rec[name]) for name in (
-        "tau_b0", "tau_bperp", "tau_b", "tau_minus_d", "tau_minus_d0")}
+    extras["hitting_times"] = {name: float(rec[name])
+                               for name in TAU_COLUMN.values()}
     extras["failed"] = bool(rec["failed"])
     extras["terminal_phi0"] = float(rec["terminal_phi0"])
     manifest.write(out_dir / "simulate_manifest.json")
@@ -251,15 +240,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
 _SWEEP_HEADER = ["delta", "eps", "sigma", "h", "h_perp", "n", "p_hat",
                  "ci_low", "ci_high", "event"]
 
-# the [exits] radius that a [sweep] h_values entry sets, by event
-_RADIUS_FIELD = {ExitEvent.EXIT_B: "h_stable", ExitEvent.EXIT_B0: "h",
-                 ExitEvent.EXIT_BPERP: "h_perp"}
-
-
 def _sweep_cells(cfg: RunConfig):
-    if cfg.sweep.h_values and ExitEvent(cfg.mc.event) not in _RADIUS_FIELD:
-        raise ConfigError(f"[sweep] h_values: [mc] event = {cfg.mc.event} "
-                          "has no radius to vary; leave h_values unset")
+    """The (delta, sigma, h) grid; every non-transition event needs its
+    [exits] field, which a [sweep] h_values entry supplies for the radii."""
+    field = EVENT_FIELD.get(ExitEvent(cfg.mc.event))
+    if cfg.sweep.h_values:
+        if field is None or field.endswith("_level"):
+            raise ConfigError(f"[sweep] h_values: [mc] event = {cfg.mc.event} "
+                              "has no radius to vary; leave h_values unset")
+    elif field is not None and getattr(cfg.exits, field) is None:
+        raise ConfigError(f"[exits] {field}: [mc] event = {cfg.mc.event} is "
+                          f"recorded only when {field} is set")
     deltas = cfg.sweep.delta_values or (cfg.model.delta,)
     sigmas = cfg.sweep.sigma_values or (cfg.sim.sigma,)
     hs = cfg.sweep.h_values or (None,)
@@ -273,7 +264,7 @@ def _transition_setup(cfg: RunConfig, delta: float):
     otherwise)."""
     if cfg.model.kind != "normal-form":
         raise ConfigError("[model] kind: transition runs need the normal form")
-    exits = _exits(cfg)
+    exits = cfg.exits
     if exits.h is not None:
         raise ConfigError("[exits] h: transition runs build no adiabatic "
                           "frame, so they cannot monitor B0; leave h unset")
@@ -285,7 +276,7 @@ def _transition_setup(cfg: RunConfig, delta: float):
               "dt": cfg.sim.dt, "T0": T0}
     if exits.d_level is None:
         exits, kwargs["h_perp"] = None, exits.h_perp
-    return normal_form(delta, cfg.model.cubic, cfg.model.a1), exits, kwargs
+    return build_model(cfg, delta), exits, kwargs
 
 
 def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
@@ -297,28 +288,26 @@ def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
         batch, sim, exits = transition_study(model, delta, cfg.sim.epsilon,
                                              sigma, n, exits, seed=seed,
                                              **kwargs)
-        horizon = cfg.mc.horizon if cfg.mc.horizon is not None else sim.t_end
-        return event_probability(batch, event, horizon), exits
-    model = (normal_form(delta, cfg.model.cubic, cfg.model.a1)
-             if cfg.model.kind == "normal-form" else build_model(cfg))
-    sim = _sim_config(cfg, seed, sigma)
-    exits = _exits(cfg)
-    if h is not None:
-        exits = dataclasses.replace(exits, **{_RADIUS_FIELD[event]: float(h)})
-    frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
-    init = _init_field(cfg, model, sim, frame)
-    batch = run_batch(sim, model, init, exits, frame, n)
+    else:
+        model = build_model(cfg, delta)
+        sim = dataclasses.replace(_sim_config(cfg, sigma), seed=seed)
+        exits = cfg.exits
+        if h is not None:
+            exits = dataclasses.replace(exits, **{EVENT_FIELD[event]: float(h)})
+        frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
+        init = _init_field(cfg, model, sim, frame)
+        batch = run_batch(sim, model, init, exits, frame, n)
     horizon = cfg.mc.horizon if cfg.mc.horizon is not None else sim.t_end
     return event_probability(batch, event, horizon), exits
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     cells = _sweep_cells(cfg)
     keys = [f"{idx}:{_fmt(delta)}|{_fmt(sigma)}|{_fmt(h)}"
             for idx, (delta, sigma, h) in enumerate(cells)]
     path = out_dir / "sweep.csv"
     man_path = out_dir / "sweep_manifest.json"
-    manifest = Manifest("sweep", cfg, seed)
+    manifest = Manifest("sweep", cfg)
     completed: list = []
     cell_seeds: dict = {}
     if resume and man_path.exists() and path.exists():
@@ -328,7 +317,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
             cell_seeds = dict(old.get("extras", {}).get("cell_seeds", {}))
         except (OSError, ValueError, AttributeError, TypeError) as exc:
             raise ConfigError(f"--resume: cannot read {man_path}: {exc}") from None
-        if old.get("master_seed") != seed or completed != keys[:len(completed)]:
+        if (old.get("master_seed") != cfg.sim.seed
+                or completed != keys[:len(completed)]):
             raise ConfigError("--resume manifest does not match this run")
         manifest.data["started_at"] = old.get("started_at",
                                               manifest.data["started_at"])
@@ -349,7 +339,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     end = len(cells) if budget is None else min(len(cells), len(completed) + budget)
     for idx in range(len(completed), end):
         delta, sigma, h = cells[idx]
-        cell_seed = derive_seed(seed, idx)
+        cell_seed = derive_seed(cfg.sim.seed, idx)
         stats, exits = _sweep_cell_stats(cfg, float(delta), float(sigma), h,
                                          cell_seed)
         with open(path, "a", newline="", encoding="utf-8") as fh:
@@ -367,7 +357,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int:
+def cmd_threshold(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     deltas = cfg.threshold.delta_values
     if not deltas:
         raise ConfigError("[threshold] delta_values: must be non-empty")
@@ -376,7 +366,7 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int
     probes_extras = {}
     failures = 0
     for i, delta in enumerate(deltas):
-        seed_d = derive_seed(seed, 1000 + i)
+        seed_d = derive_seed(cfg.sim.seed, 1000 + i)
         model, exits, kwargs = _transition_setup(cfg, float(delta))
         try:
             sig, st, probes = threshold_bisect(
@@ -401,7 +391,7 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int
     path = out_dir / "threshold.csv"
     _write_csv(path, ["delta", "sigma_star", "p_hat", "ci_low", "ci_high",
                       "n", "n_probes"], rows)
-    manifest = Manifest("threshold", cfg, seed)
+    manifest = Manifest("threshold", cfg)
     manifest.add_output(path)
     manifest.data["extras"]["bisection_probes"] = probes_extras
 
@@ -428,11 +418,10 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, seed: int, resume: bool) -> int
     return status
 
 
-def cmd_variance_check(cfg: RunConfig, out_dir: Path, seed: int,
-                       resume: bool) -> int:
+def cmd_variance_check(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     if cfg.model.kind != "linear":
         raise ConfigError("[model] kind: variance-check needs the linear model")
-    rows, c0 = mode_variance_report(_sim_config(cfg, seed), cfg.mc.n,
+    rows, c0 = mode_variance_report(_sim_config(cfg), cfg.mc.n,
                                     cfg.mc.k_max, a=cfg.model.a)
     path = out_dir / "variance.csv"
     _write_csv(path, ["k", "mu_k", "var_final", "se_final", "var_sup",
@@ -440,7 +429,7 @@ def cmd_variance_check(cfg: RunConfig, out_dir: Path, seed: int,
                [[r["k"], r["mu_k"], r["var_final"], r["se_final"],
                  r["var_sup"], r["exact_var"], r["ratio_sup"], r["bound"], c0]
                 for r in rows])
-    manifest = Manifest("variance-check", cfg, seed)
+    manifest = Manifest("variance-check", cfg)
     manifest.add_output(path)
     manifest.data["extras"]["c0_fit"] = c0
     manifest.write(out_dir / "variance_manifest.json")
@@ -483,10 +472,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("--seed: must be >= 0")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.sim.seed
         if args.seed is not None:
             cfg.sim.seed = args.seed
-        return _COMMANDS[args.command](cfg, out_dir, seed, args.resume)
+        return _COMMANDS[args.command](cfg, out_dir, args.resume)
     except ConfigError as exc:
         print(f"srlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,11 @@
 """Run configuration: one INI-style file fully determines a run.
 
 Sections mirror the module split (torus, model, sim, exits, adiabatic, mc,
-sweep, threshold).  Parsing is strict: unknown sections or keys and malformed
-values raise ConfigError with the offending section/field named.  The
-serialised form emits every field, so parse -> serialize -> parse is the
-identity on configurations.
+sweep, threshold); the [exits] section is the engine's ``ExitSpec``, so its
+own checks decide what a valid [exits] is.  Parsing is strict: unknown
+sections or keys and malformed values raise ConfigError with the offending
+section/field named.  The serialised form emits every field, so parse ->
+serialize -> parse is the identity on configurations.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import configparser
 import io
 import math
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_origin
+
+from .integrator import ExitSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
            "serialize_config", "sim_window"]
@@ -56,15 +59,6 @@ class SimSection:
 
 
 @dataclass
-class ExitsSection:
-    h: Optional[float] = None
-    h_perp: Optional[float] = None
-    h_stable: Optional[float] = None
-    d_level: Optional[float] = None
-    d0_level: Optional[float] = None
-
-
-@dataclass
 class AdiabaticSection:
     t0: float = 0.2
     grid_step: Optional[float] = None   # default epsilon/10
@@ -102,7 +96,7 @@ class RunConfig:
     torus: TorusSection = field(default_factory=TorusSection)
     model: ModelSection = field(default_factory=ModelSection)
     sim: SimSection = field(default_factory=SimSection)
-    exits: ExitsSection = field(default_factory=ExitsSection)
+    exits: ExitSpec = field(default_factory=ExitSpec)
     adiabatic: AdiabaticSection = field(default_factory=AdiabaticSection)
     mc: McSection = field(default_factory=McSection)
     sweep: SweepSection = field(default_factory=SweepSection)
@@ -147,10 +141,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         target = getattr(cfg, section)
         # resolve "from __future__ import annotations" string types
         hints = typing.get_type_hints(type(target))
+        values = {}
         for key, value in cp.items(section):
             if key not in hints:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
-            setattr(target, key, _coerce(section, key, value, hints[key]))
+            values[key] = _coerce(section, key, value, hints[key])
+        try:
+            setattr(cfg, section, replace(target, **values))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     _validate(cfg)
     return cfg
 
@@ -220,12 +219,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[threshold] sigma_lo, sigma_hi: must be > 0")
     if lo is not None and hi is not None and lo >= hi:
         raise ConfigError("[threshold] sigma_lo: must be below sigma_hi")
-    e = cfg.exits
-    given = [v for v in asdict(e).values() if v is not None]
-    if min(given + list(cfg.sweep.h_values), default=1.0) <= 0:
-        raise ConfigError("[exits], [sweep] h_values: must be > 0")
-    if e.d_level is not None and e.d0_level is not None and e.d0_level <= e.d_level:
-        raise ConfigError("[exits] d0_level: must exceed d_level")
+    if min(cfg.sweep.h_values, default=1.0) <= 0:
+        raise ConfigError("[sweep] h_values: must be > 0")
     if cfg.mc.event not in ("exit-b", "exit-b0", "exit-bperp", "cross-minus-d",
                             "reach-minus-d0", "transition"):
         raise ConfigError(f"[mc] event: unknown event {cfg.mc.event!r}")

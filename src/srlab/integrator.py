@@ -15,12 +15,15 @@ the exact stochastic-convolution standard deviation of one step; the three
 per-mode factors are computed once per run by ``_step_factors``.  Noise is
 space-time white truncated to the resolved modes: independent Wiener processes
 drive every mode, one normal draw per mode per step from the trajectory's
-dedicated counter-based stream, read through ``_streams.BlockNormals``.  Runs
-that leave the step unset use dt = eps / STEPS_PER_EPS.
+dedicated counter-based stream, read through ``_streams.BlockNormals``.
+``step_grid`` is the one place that sets a run's step (dt = eps /
+STEPS_PER_EPS when left unset) and snaps its window to whole steps.
 
 Exit sets are monitored online after every step; crossing times are resolved
-at the midpoint of the bracketing step.  A trajectory that stops at -d0 or
-fails (non-finite) leaves the batch's working set after that step, and its
+at the midpoint of the bracketing step.  ``TAU_COLUMN`` maps each ``ExitSpec``
+field to the hitting-time column its monitor sets; an unset field switches
+its monitor off and leaves the column at inf.  A trajectory that stops at -d0
+or fails (non-finite) leaves the batch's working set after that step, and its
 noise streams are not advanced further.  Each stream belongs to one
 (trajectory, mode) pair and every row's update is independent of the other
 rows, so this cannot change any other trajectory's bits.
@@ -37,7 +40,7 @@ time) with ``record_fields``.  A single path is ``traj_indices=(i,)``, row 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +60,21 @@ __all__ = [
 
 # The default time step is eps / STEPS_PER_EPS wherever a run leaves dt unset.
 STEPS_PER_EPS = 20
+
+
+def step_grid(eps: float, t_start: float, t_end: float,
+              dt: Optional[float] = None) -> tuple[float, float]:
+    """(dt, t_end) of a run on [t_start, t_end]: dt defaults to
+    eps / STEPS_PER_EPS, and t_end moves to t_start + n dt for the nearest
+    whole number of steps n >= 1."""
+    dt = eps / STEPS_PER_EPS if dt is None else dt
+    n = max(1, int(round((t_end - t_start) / dt)))
+    return dt, t_start + n * dt
+
+
+# the hitting-time column that the monitor of each ExitSpec field sets
+TAU_COLUMN = {"h": "tau_b0", "h_perp": "tau_bperp", "h_stable": "tau_b",
+              "d_level": "tau_minus_d", "d0_level": "tau_minus_d0"}
 
 
 class NonFinite(RuntimeError):
@@ -113,7 +131,9 @@ class ExitSpec:
 
     h        half-width of the mean-mode tube |phi0 - phibar(t)| < h sqrt(zeta(t))
     h_perp   H^s radius of the transverse tube ||phi_perp|| < h_perp
-    h_stable H^s radius of the tube around the full deterministic solution
+    h_stable H^s radius of the tube around the deterministic solution: the
+             constant field phibar(t) with a frame, the initial mean mode
+             without one (the transverse reference is zero either way)
     d_level / d0_level   downward crossing levels for phi0 (d0 > d)
     """
 
@@ -124,7 +144,7 @@ class ExitSpec:
     d0_level: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("h", "h_perp", "h_stable", "d_level", "d0_level"):
+        for name in TAU_COLUMN:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive when given")
@@ -133,17 +153,9 @@ class ExitSpec:
                 raise ValueError("d0_level must exceed d_level")
 
 
-_OUTCOME_FIELDS = [
-    ("traj", np.int64),
-    ("tau_b0", np.float64),
-    ("tau_bperp", np.float64),
-    ("tau_b", np.float64),
-    ("tau_minus_d", np.float64),
-    ("tau_minus_d0", np.float64),
-    ("failed", np.bool_),
-    ("terminal_phi0", np.float64),
-]
-_TAU_NAMES = ("tau_b0", "tau_bperp", "tau_b", "tau_minus_d", "tau_minus_d0")
+_OUTCOME_FIELDS = ([("traj", np.int64)]
+                   + [(name, np.float64) for name in TAU_COLUMN.values()]
+                   + [("failed", np.bool_), ("terminal_phi0", np.float64)])
 
 
 def _step_factors(cfg: SimConfig):
@@ -189,8 +201,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     n_steps = cfg.n_steps
     times = cfg.times()
 
-    w_perp = hs_weights(spec, cfg.s_monitor)
-    w_perp = w_perp.copy()
+    w_perp = hs_weights(spec, cfg.s_monitor).copy()
     w_perp[i0] = 0.0
 
     decay, psi, noise_std = _step_factors(cfg)
@@ -207,10 +218,6 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             ref0_steps = np.asarray(frame.phibar_at(times)) * sqrt_l
         else:
             ref0_steps = np.full(n_steps + 1, init.coeffs[i0])
-        # reference transverse part: zero with a frame, the initial one without
-        ref_perp = np.zeros(spec.n_modes) if frame is not None else init.coeffs.copy()
-        ref_perp[i0] = 0.0
-        ref_perp_zero = not np.any(ref_perp)
 
     series = []
     if collect_series:
@@ -222,11 +229,11 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     # retired or still working at the end, so terminal_phi0 is always set
     out = np.zeros(n_traj, dtype=_OUTCOME_FIELDS + series)
     out["traj"] = traj_indices
-    for name in _TAU_NAMES:
+    for name in TAU_COLUMN.values():
         out[name] = np.inf
     for name, _, _ in series:
         out[name] = np.nan
-    tau_b0, tau_bperp, tau_b, tau_d, tau_d0 = (out[name] for name in _TAU_NAMES)
+    tau_b0, tau_bperp, tau_b, tau_d, tau_d0 = (out[c] for c in TAU_COLUMN.values())
     failed, terminal_phi0 = out["failed"], out["terminal_phi0"]
 
     state = np.tile(init.coeffs, (n_traj, 1))
@@ -246,11 +253,8 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
 
     monitor_perp = exits.h_perp is not None
     # transverse norm is needed every step only when a norm monitor is active
-    perp_every_step = monitor_perp or (monitor_b and ref_perp_zero)
+    perp_every_step = monitor_perp or monitor_b
     perp_sq = None
-
-    def perp_norm_sq(arr):
-        return np.sum(w_perp * arr**2, axis=-1)
 
     def mark(tau, hit):
         """Set t_cross as the hitting time of working rows hit for the first time."""
@@ -292,7 +296,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             c0 = state[:, i0]
             v0 = c0 / sqrt_l
             record_now = collect_series and (n + 1) % cfg.record_stride == 0
-            perp_sq = (perp_norm_sq(state)
+            perp_sq = (np.sum(w_perp * state**2, axis=-1)
                        if perp_every_step or record_now else None)
 
             if monitor_perp:
@@ -301,11 +305,7 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
                 dev = np.abs(v0 - phibar_steps[n + 1])
                 mark(tau_b0, dev >= thr_b0[n + 1])
             if monitor_b:
-                if ref_perp_zero:
-                    db_sq = perp_sq
-                else:
-                    db_sq = perp_norm_sq(state - ref_perp)
-                norm_b = db_sq + (c0 - ref0_steps[n + 1]) ** 2
+                norm_b = perp_sq + (c0 - ref0_steps[n + 1]) ** 2
                 mark(tau_b, norm_b >= exits.h_stable**2)
             if exits.d_level is not None:
                 mark(tau_d, v0 <= -exits.d_level)
@@ -325,45 +325,34 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     return out
 
 
-def simulate_linear_mode(k: int, a_of_t: Callable, cfg: SimConfig,
+def simulate_linear_mode(k: int, a: float, cfg: SimConfig,
                          n_paths: int = 1, psi0: float = 0.0) -> np.ndarray:
     """Exact-in-distribution sampling of the scalar linear mode equation
 
-        d psi_k = (1/eps)(-mu_k + a(t)) psi_k dt + (sigma/sqrt(eps)) dW_k .
+        d psi_k = (1/eps)(-mu_k + a) psi_k dt + (sigma/sqrt(eps)) dW_k
 
-    ``a_of_t`` is called once on the array of step times; a scalar result is
-    a constant coefficient.  Per step the mean factor uses the trapezoidal
-    integral of a(t) (exact for frozen coefficients) and the Gaussian
-    increment the matching closed-form variance.  Returns paths sampled at
-    the record times, shape (n_paths, n_rec).
+    with a constant coefficient ``a``: each step multiplies by the exact
+    decay factor and adds a Gaussian increment of the closed-form one-step
+    variance.  Returns paths sampled at the record times, shape
+    (n_paths, n_rec).
     """
-    mu_k = (k * np.pi / cfg.spec.L) ** 2
-    times = cfg.times()
-    abar_k = -mu_k + np.broadcast_to(np.asarray(a_of_t(times), dtype=float),
-                                     times.shape)
-    if np.max(abar_k) >= 0:
-        raise ValueError(f"mode {k} is not contracting on the time range")
-
-    dalpha = 0.5 * (abar_k[1:] + abar_k[:-1]) * cfg.dt
+    abar = -(k * np.pi / cfg.spec.L) ** 2 + float(a)
+    if abar >= 0:
+        raise ValueError(f"mode {k} is not contracting")
+    dalpha = abar * cfg.dt
     m = np.exp(dalpha / cfg.eps)
     rate = -dalpha / cfg.dt
-    var = cfg.sigma**2 * np.where(rate > 0, -np.expm1(2.0 * dalpha / cfg.eps)
-                                  / np.where(rate > 0, 2.0 * rate, 1.0),
-                                  cfg.dt / cfg.eps)
+    std = np.sqrt(cfg.sigma**2 * (-np.expm1(2.0 * dalpha / cfg.eps)
+                                  / (2.0 * rate)))
 
     n_steps = cfg.n_steps
     n_rec = n_steps // cfg.record_stride + 1
     out = np.empty((n_paths, n_rec))
     psi = np.full(n_paths, float(psi0))
     out[:, 0] = psi
-    noise = (_streams.BlockNormals(cfg.seed, range(n_paths), (k,), n_steps)
-             if cfg.sigma > 0 else None)
-    std = np.sqrt(var)
+    noise = _streams.BlockNormals(cfg.seed, range(n_paths), (k,), n_steps)
     for n in range(n_steps):
-        if noise is not None:
-            psi = m[n] * psi + std[n] * noise.draw(n)
-        else:
-            psi = m[n] * psi
+        psi = m * psi + std * noise.draw(n)
         if (n + 1) % cfg.record_stride == 0:
             out[:, (n + 1) // cfg.record_stride] = psi
     return out

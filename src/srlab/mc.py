@@ -10,6 +10,9 @@ runs batches at import time must guard that code with
 SRLAB_WORKERS=1.  A batch of one chunk, a batch at one worker, and a batch
 whose model does not pickle (a ``custom_drift`` of lambdas, say) run in the
 calling process.
+``EVENT_FIELD`` maps each event other than the transition to the ``ExitSpec``
+field whose monitor records it (``integrator.TAU_COLUMN`` then names the
+outcome column); an event whose field is unset is never recorded.
 Probabilities carry Wilson 95% intervals, which behave correctly at the
 extreme rates these experiments live at.  Log-probability and log-threshold
 fits are plain least squares; the concentration fit keeps only radii with at
@@ -31,9 +34,10 @@ import numpy as np
 from . import _streams
 from .adiabatic import AdiabaticFrame
 from .config import ConfigError
-from .integrator import (STEPS_PER_EPS, ExitSpec, SimConfig, simulate_batch,
-                         simulate_linear_mode)
-from .model import DriftModel, equilibrium_branches, normal_form
+from .integrator import (TAU_COLUMN, ExitSpec, SimConfig, simulate_batch,
+                         simulate_linear_mode, step_grid)
+from .model import (ROOT_BRACKET, DriftModel, equilibrium_branches,
+                    normal_form)
 from .spectral import SpectralField, TorusSpec
 
 __all__ = [
@@ -73,6 +77,8 @@ _pool = None
 
 WILSON_Z = 1.96
 MIN_FIT_SUCCESSES = 5
+# transition_probability calls that one threshold_bisect may make
+MAX_PROBES = 28
 
 
 class UnknownEvent(ValueError):
@@ -101,12 +107,13 @@ class ExitEvent(enum.Enum):
     TRANSITION = "transition"
 
 
-_EVENT_FIELD = {
-    ExitEvent.EXIT_B: "tau_b",
-    ExitEvent.EXIT_B0: "tau_b0",
-    ExitEvent.EXIT_BPERP: "tau_bperp",
-    ExitEvent.CROSS_MINUS_D: "tau_minus_d",
-    ExitEvent.REACH_MINUS_D0: "tau_minus_d0",
+# the ExitSpec field that switches on the monitor of each non-transition event
+EVENT_FIELD = {
+    ExitEvent.EXIT_B: "h_stable",
+    ExitEvent.EXIT_B0: "h",
+    ExitEvent.EXIT_BPERP: "h_perp",
+    ExitEvent.CROSS_MINUS_D: "d_level",
+    ExitEvent.REACH_MINUS_D0: "d0_level",
 }
 
 
@@ -276,7 +283,7 @@ def event_probability(batch: BatchResult, event: ExitEvent,
     if event is ExitEvent.TRANSITION:
         hit = (o["tau_minus_d0"] <= horizon) & (o["tau_minus_d"] <= o["tau_minus_d0"])
     else:
-        hit = o[_EVENT_FIELD[event]] <= horizon
+        hit = o[TAU_COLUMN[EVENT_FIELD[event]]] <= horizon
     successes = int(np.count_nonzero(hit))
     p, lo, hi = wilson_interval(successes, batch.n)
     return ExitStatistics(p_hat=p, ci_low=lo, ci_high=hi, n=batch.n,
@@ -336,11 +343,10 @@ def concentration_fit(model: DriftModel, cfg_base: SimConfig,
 def _default_levels(model: DriftModel, delta: float, eps: float,
                     T0: float) -> tuple[float, float]:
     """d = half the minimal stable/unstable branch gap, d0 = 2d, clipped to
-    the root bracket [-3, 3]."""
-    bracket = 3.0
+    the root bracket [-ROOT_BRACKET, ROOT_BRACKET]."""
     gaps = []
     for t in np.linspace(-T0, T0, 17):
-        bs = equilibrium_branches(model, t, bracket=bracket)
+        bs = equilibrium_branches(model, t)
         if bs.stable_roots():
             up = bs.root()
             below = [r for r in bs.unstable_roots() if r < up]
@@ -350,8 +356,8 @@ def _default_levels(model: DriftModel, delta: float, eps: float,
         d = np.sqrt(max(delta, eps))
     else:
         d = 0.5 * min(gaps)
-    d = min(d, 0.45 * bracket)
-    return d, min(2.0 * d, 0.9 * bracket)
+    d = min(d, 0.45 * ROOT_BRACKET)
+    return d, min(2.0 * d, 0.9 * ROOT_BRACKET)
 
 
 def transition_study(model: Optional[DriftModel], delta: float, eps: float,
@@ -373,12 +379,10 @@ def transition_study(model: Optional[DriftModel], delta: float, eps: float,
         model = normal_form(delta)
     if T0 is None:
         T0 = max(0.2, 2.5 * np.sqrt(max(delta, eps)))
-    if dt is None:
-        dt = eps / STEPS_PER_EPS
-    n_steps = int(round(2.0 * T0 / dt))
+    dt, t_end = step_grid(eps, -T0, T0, dt)
     spec = TorusSpec(L=L, K=K, n_grid=n_grid)
     cfg = SimConfig(eps=eps, sigma=sigma, dt=dt, spec=spec,
-                    t_start=-T0, t_end=-T0 + n_steps * dt, seed=seed)
+                    t_start=-T0, t_end=t_end, seed=seed)
     if exits is None:
         d, d0 = _default_levels(model, delta, eps, T0)
         exits = ExitSpec(d_level=d, d0_level=d0, h_perp=h_perp)
@@ -401,14 +405,13 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
                      n: int, tol: float = 0.1,
                      sigma_lo: Optional[float] = None,
                      sigma_hi: Optional[float] = None,
-                     master_seed: int = 0, max_probes: int = 28,
-                     **kwargs):
+                     master_seed: int = 0, **kwargs):
     """Locate sigma* with p(transition) ~ 1/2 by bisection in log sigma.
 
-    Stops when the Wilson CI at the midpoint contains 1/2 or when the log
-    bracket is narrower than tol.  Returns (sigma_star, stats, probes) where
-    probes lists every (sigma, seed, stats) evaluated; BracketNotFound
-    carries the probes of the failed search.
+    Stops when the Wilson CI at the midpoint contains 1/2, when the log
+    bracket is narrower than tol, or after MAX_PROBES probes.  Returns
+    (sigma_star, stats, probes) where probes lists every (sigma, seed, stats)
+    evaluated; BracketNotFound carries the probes of the failed search.
     """
     probes: list = []
 
@@ -424,11 +427,11 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
     hi = sigma_hi if sigma_hi is not None else 2.5 * sc
 
     p_lo = evaluate(lo)
-    while p_lo.p_hat >= 0.25 and len(probes) < max_probes:
+    while p_lo.p_hat >= 0.25 and len(probes) < MAX_PROBES:
         lo /= 2.0
         p_lo = evaluate(lo)
     p_hi = evaluate(hi)
-    while p_hi.p_hat <= 0.75 and len(probes) < max_probes:
+    while p_hi.p_hat <= 0.75 and len(probes) < MAX_PROBES:
         hi *= 2.0
         p_hi = evaluate(hi)
     if p_lo.p_hat >= 0.25 or p_hi.p_hat <= 0.75:
@@ -437,7 +440,7 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
             f"p({hi:.4g})={p_hi.p_hat:.3f}", probes)
 
     st = None
-    while np.log(hi / lo) >= tol and len(probes) < max_probes:
+    while np.log(hi / lo) >= tol and len(probes) < MAX_PROBES:
         mid = float(np.sqrt(lo * hi))
         st = evaluate(mid)
         if st.ci_low <= 0.5 <= st.ci_high:
@@ -496,7 +499,7 @@ def mode_variance_report(cfg: SimConfig, n: int, k_max: int, a: float = -1.0):
     c0 = 0.0
     for k in range(0, k_max + 1):
         mu_k = (k * np.pi / cfg.spec.L) ** 2
-        paths = simulate_linear_mode(k, lambda t: a, cfg, n_paths=n)
+        paths = simulate_linear_mode(k, a, cfg, n_paths=n)
         variances = paths.var(axis=0, ddof=1)
         var_final = float(variances[-1])
         var_sup = float(variances.max())
@@ -516,19 +519,17 @@ def mode_variance_report(cfg: SimConfig, n: int, k_max: int, a: float = -1.0):
 
 def scalar_transition_probability(delta: float, eps: float, sigma: float,
                                   n: int, d: float, d0: float, T0: float,
-                                  dt: Optional[float] = None, seed: int = 0,
-                                  a1: float = 1.0) -> ExitStatistics:
+                                  seed: int = 0) -> ExitStatistics:
     """Independent dense-step Euler-Maruyama reference for the K=0 reduction.
 
-    Simulates eps dphi = (delta + a1 t^2 - phi^2) dt + sqrt(eps) sigma dW
-    from phi(-T0) on the stable branch, with its own noise streams, at a step
-    defaulting to eps/200 (10x the field integrator's default resolution).
+    Simulates eps dphi = (delta + t^2 - phi^2) dt + sqrt(eps) sigma dW
+    from phi(-T0) on the stable branch, with its own noise streams, at the
+    step eps/200 (10x the field integrator's default resolution).
     """
-    if dt is None:
-        dt = eps / 200.0
+    dt = eps / 200.0
     n_steps = int(round(2.0 * T0 / dt))
     sqdt = np.sqrt(dt / eps)
-    phi = np.full(n, float(np.sqrt(delta + a1 * T0**2)))
+    phi = np.full(n, float(np.sqrt(delta + T0**2)))
     crossed_d = np.zeros(n, dtype=bool)
     successes = 0
     # arrays hold the paths that have not reached -d0 yet
@@ -538,7 +539,7 @@ def scalar_transition_probability(delta: float, eps: float, sigma: float,
     for step_i in range(n_steps):
         if not phi.size:
             break
-        g_t = delta + a1 * t * t
+        g_t = delta + t * t
         xi = noise.draw(step_i)
         phi = phi + (dt / eps) * (g_t - phi * phi) + sigma * sqdt * xi
         crossed_d |= phi <= -d

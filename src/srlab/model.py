@@ -40,6 +40,9 @@ __all__ = [
 
 ALLEN_CAHN_CRITICAL = 2.0 / (3.0 * np.sqrt(3.0))
 
+# equilibrium_branches looks for roots in [-ROOT_BRACKET, ROOT_BRACKET]
+ROOT_BRACKET = 3.0
+
 # Roots closer than this are reported as one double root; avoids spurious
 # stability flips at (avoided) transcritical points.
 DOUBLE_ROOT_TOL = 1e-7
@@ -103,7 +106,7 @@ class DriftModel:
     """Time-dependent scalar drift f(t, phi) and its phi-derivative.
 
     Built-in kinds are evaluated from ``params``; a custom drift carries its
-    (f, df/dphi) pair in ``callables`` and uses ``params`` only as a label.
+    (f, df/dphi) pair in ``callables`` and no params.
     """
 
     kind: DriftKind
@@ -152,15 +155,14 @@ def _central_difference(f, t, p, h=1e-6):
     return (f(t, p + h) - f(t, p - h)) / (2 * h)
 
 
-def custom_drift(f: Callable, dfdphi: Callable = None,
-                 params: dict = None) -> DriftModel:
+def custom_drift(f: Callable, dfdphi: Callable = None) -> DriftModel:
     """Wrap a user drift; df/dphi defaults to a central finite difference.
 
     The model pickles when ``f`` and ``dfdphi`` do (module-level functions).
     """
     if dfdphi is None:
         dfdphi = functools.partial(_central_difference, f)
-    return DriftModel(DriftKind.CUSTOM, dict(params or {}), (f, dfdphi))
+    return DriftModel(DriftKind.CUSTOM, {}, (f, dfdphi))
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,6 @@ class BranchSet:
     roots: tuple
     stability: tuple
     a_values: tuple          # linearisation df/dphi at each root
-    multiplicity: tuple
 
     def stable_roots(self) -> list[float]:
         return [r for r, s in zip(self.roots, self.stability) if s is Stability.STABLE]
@@ -215,26 +216,26 @@ def _polish_root(g, lo: float, hi: float, maxit: int = 80) -> float:
     return x1 if abs(g(x1)) <= abs(g(0.5 * (lo + hi))) else 0.5 * (lo + hi)
 
 
-def equilibrium_branches(model: DriftModel, t: float,
-                         bracket: float = 3.0) -> BranchSet:
-    """All real roots of f(t, .) in [-bracket, bracket] with stability labels.
+def equilibrium_branches(model: DriftModel, t: float) -> BranchSet:
+    """All real roots of f(t, .) in [-ROOT_BRACKET, ROOT_BRACKET] with
+    stability labels.
 
     Sign-scan on 2001 points plus bisection/secant polishing; tangential
-    double roots are caught through the critical points of f.  Residuals are
-    <= 1e-10.
+    double roots are caught through the critical points of f and reported
+    once, as MARGINAL.  Residuals are <= 1e-10.
     """
     g = lambda p: float(model.f(t, p))
-    xs = np.linspace(-bracket, bracket, 2001)
+    xs = np.linspace(-ROOT_BRACKET, ROOT_BRACKET, 2001)
     fs = np.asarray(model.f(t, xs), dtype=float)
-    roots: list[tuple[float, int]] = []
+    roots: list[float] = []
     sign = np.sign(fs)
     for i in range(len(xs) - 1):
         if sign[i] == 0.0:
-            roots.append((float(xs[i]), 1))
+            roots.append(float(xs[i]))
         elif sign[i] * sign[i + 1] < 0:
-            roots.append((_polish_root(g, float(xs[i]), float(xs[i + 1])), 1))
+            roots.append(_polish_root(g, float(xs[i]), float(xs[i + 1])))
     if sign[-1] == 0.0:
-        roots.append((float(xs[-1]), 1))
+        roots.append(float(xs[-1]))
 
     # tangencies: critical points of f where f itself vanishes (double roots)
     dg = lambda p: float(model.dfdphi(t, p))
@@ -244,23 +245,22 @@ def equilibrium_branches(model: DriftModel, t: float,
         if dsign[i] * dsign[i + 1] < 0:
             xc = _polish_root(dg, float(xs[i]), float(xs[i + 1]))
             if abs(g(xc)) <= 1e-8 and all(abs(xc - r) > DOUBLE_ROOT_TOL
-                                          for r, _ in roots):
-                roots.append((xc, 2))
+                                          for r in roots):
+                roots.append(xc)
 
     roots.sort()
-    merged: list[tuple[float, int]] = []
-    for r, m0 in roots:
-        if merged and abs(r - merged[-1][0]) < DOUBLE_ROOT_TOL:
-            prev, m = merged[-1]
-            merged[-1] = (0.5 * (prev + r), m + m0)
+    merged: list[float] = []
+    for r in roots:
+        if merged and abs(r - merged[-1]) < DOUBLE_ROOT_TOL:
+            merged[-1] = 0.5 * (merged[-1] + r)
         else:
-            merged.append((r, m0))
+            merged.append(r)
     if not merged:
         raise RootBracketExhausted(
-            f"no root of f({t}, .) found in [-{bracket}, {bracket}]")
+            f"no root of f({t}, .) found in [-{ROOT_BRACKET}, {ROOT_BRACKET}]")
 
-    out_roots, out_stab, out_a, out_mult = [], [], [], []
-    for r, m in merged:
+    out_stab, out_a = [], []
+    for r in merged:
         res = abs(g(r))
         if res > 1e-10:
             raise RootBracketExhausted(
@@ -272,13 +272,7 @@ def equilibrium_branches(model: DriftModel, t: float,
             stab = Stability.UNSTABLE
         else:
             stab = Stability.MARGINAL
-            if m == 1:  # tangency: f keeps its sign across the root
-                probe = 1e-4 * max(1.0, abs(r))
-                if g(r - probe) * g(r + probe) > 0:
-                    m = 2
-        out_roots.append(r)
         out_stab.append(stab)
         out_a.append(a)
-        out_mult.append(m)
-    return BranchSet(t=float(t), roots=tuple(out_roots), stability=tuple(out_stab),
-                     a_values=tuple(out_a), multiplicity=tuple(out_mult))
+    return BranchSet(t=float(t), roots=tuple(merged), stability=tuple(out_stab),
+                     a_values=tuple(out_a))

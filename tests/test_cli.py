@@ -1,6 +1,7 @@
 """CLI: config round trip, subcommands, manifests, resume, reproducibility."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -49,6 +50,14 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+UNMONITORED = BASE.replace("K = 4", "K = 2").replace(
+    "epsilon = 0.001", "epsilon = 0.01").replace(
+    "sigma = 0.05", "sigma = 0.3") + "\n[mc]\nn = 20\nevent = {event}\n"
+UNMONITORED_EVENTS = [("cross-minus-d", "d_level"), ("exit-bperp", "h_perp"),
+                      ("exit-b", "h_stable"), ("exit-b0", "h"),
+                      ("reach-minus-d0", "d0_level")]
 
 
 class TestConfig:
@@ -234,9 +243,14 @@ class TestExitCodes:
             "epsilon = 0.001", "epsilon = 0.01") + "\n[mc]\nn = 40\n"
          "event = cross-minus-d\n\n[sweep]\nh_values = 0.1, 0.5\n",
          "[sweep] h_values: [mc] event = cross-minus-d"),
-    ], ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
-            "branch-middle", "k-max-negative", "max-cells-negative",
-            "t-points-zero", "sigma-lo-above-hi", "h-values-without-radius"])
+        # an event whose [exits] field is unset has no monitor: p_hat = 0
+    ] + [("sweep", UNMONITORED.format(event=event),
+          f"[exits] {field}: [mc] event = {event}")
+         for event, field in UNMONITORED_EVENTS],
+        ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
+             "branch-middle", "k-max-negative", "max-cells-negative",
+             "t-points-zero", "sigma-lo-above-hi", "h-values-without-radius"]
+        + [f"unmonitored-{event}" for event, _ in UNMONITORED_EVENTS])
     def test_value_that_ran_silently_is_1(self, tmp_path, capsys, command, text,
                                           field):
         path = write_cfg(tmp_path, text)
@@ -401,8 +415,7 @@ class TestSimulateCommand:
     def test_fixed_seed_bitwise_and_hit_sidecar(self, tmp_path):
         cfg = parse_config_text(BASE)
         cfg.sim.record_stride = 50
-        cfg.exits.d_level = 0.2
-        cfg.exits.d0_level = 0.4
+        cfg.exits = dataclasses.replace(cfg.exits, d_level=0.2, d0_level=0.4)
         path = write_cfg(tmp_path, serialize_config(cfg))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["simulate", "--config", path, "--out", str(out1)]) == 0
@@ -495,7 +508,7 @@ class TestSweepCommand:
     def test_manifest_write_is_atomic(self, tmp_path, monkeypatch):
         # a write that dies before the rename leaves the old manifest whole
         path = tmp_path / "m.json"
-        manifest = Manifest("sweep", parse_config_text(SWEEP), 1)
+        manifest = Manifest("sweep", parse_config_text(SWEEP))
         manifest.write(path)
         before = path.read_bytes()
 

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from srlab import _streams
+from srlab import _streams, cli, integrator
+from srlab.adiabatic import deterministic_pde_track
+from srlab.config import parse_config_text
 from srlab.integrator import (ExitSpec, SimConfig, _step_factors, simulate_batch,
                               simulate_linear_mode)
+from srlab.mc import transition_study
 from srlab.model import custom_drift, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec, hs_weights
 
@@ -54,6 +57,24 @@ class TestNoiseIncrementStd:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             make_cfg(TorusSpec(1.0, 0), dt=-1.0)
+
+
+class TestStepGrid:
+    def test_window_snaps_to_whole_steps(self):
+        assert integrator.step_grid(1e-2, -0.2, 0.2) == (5e-4, -0.2 + 800 * 5e-4)
+        # a window shorter than half a step still runs one step
+        assert integrator.step_grid(1e-2, 0.0, 1e-4, dt=1e-3) == (1e-3, 1e-3)
+
+    def test_every_default_step_follows_steps_per_eps(self, monkeypatch):
+        # the CLI, the transition study and the deterministic track all take
+        # their default step from integrator.STEPS_PER_EPS
+        monkeypatch.setattr(integrator, "STEPS_PER_EPS", 8)
+        eps = 1e-2
+        _, study, _ = transition_study(None, 0.04, eps, 0.0, n=1, K=0, T0=0.1)
+        cfg = parse_config_text(f"[torus]\nK = 0\n\n[sim]\nepsilon = {eps}\n")
+        times, _ = deterministic_pde_track(linear_drift(-1.0, 0.5), eps,
+                                           TorusSpec(1.0, 0), T=0.05)
+        assert study.dt == cli._sim_config(cfg).dt == times[1] == eps / 8
 
 
 class TestStep:
@@ -110,9 +131,8 @@ class TestStationaryVariance:
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.06, t_end=0.3, seed=42, record_stride=600)
         n = 4000
-        a0 = lambda t: np.zeros_like(np.asarray(t, dtype=float))
         for k in (1, 2):
-            paths = simulate_linear_mode(k, a0, cfg, n_paths=n)
+            paths = simulate_linear_mode(k, 0.0, cfg, n_paths=n)
             v = paths[:, -1].var(ddof=1)
             exact = cfg.sigma**2 / (2.0 * (k * np.pi) ** 2)
             se = exact * np.sqrt(2.0 / (n - 1))
@@ -283,8 +303,7 @@ class TestLinearModeSampler:
     def test_sigma_zero_exponential_decay(self):
         spec = TorusSpec(1.0, 4)
         cfg = make_cfg(spec, sigma=0.0, t_end=0.1)
-        a = lambda t: -1.0 * np.ones_like(np.asarray(t, dtype=float))
-        paths = simulate_linear_mode(2, a, cfg, n_paths=1, psi0=1.0)
+        paths = simulate_linear_mode(2, -1.0, cfg, n_paths=1, psi0=1.0)
         mu2 = (2 * np.pi) ** 2
         expect = np.exp(-(mu2 + 1.0) * 0.1 / cfg.eps)
         assert paths[0, -1] == pytest.approx(expect, rel=1e-10)
@@ -292,33 +311,19 @@ class TestLinearModeSampler:
     def test_requires_contraction(self):
         spec = TorusSpec(1.0, 1)
         cfg = make_cfg(spec)
-        grow = lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float))
         with pytest.raises(ValueError):
-            simulate_linear_mode(0, grow, cfg)
+            simulate_linear_mode(0, 2.0, cfg)
 
     def test_variance_bound_envelope(self):
         # sup_t Var(psi_k) <= C0 sigma^2 / <k>^2 with fitted C0 <= 2 L^2/pi^2 + 1
         spec = TorusSpec(1.0, 8)
         cfg = make_cfg(spec, sigma=0.05, t_end=0.3, seed=8, record_stride=20)
-        a0 = lambda t: np.zeros_like(np.asarray(t, dtype=float))
         c0 = 0.0
         for k in range(1, 9):
-            paths = simulate_linear_mode(k, a0, cfg, n_paths=2000)
+            paths = simulate_linear_mode(k, 0.0, cfg, n_paths=2000)
             var_sup = paths.var(axis=0, ddof=1).max()
             c0 = max(c0, var_sup * (1.0 + k * k) / cfg.sigma**2)
         assert c0 <= 2.0 / np.pi**2 + 1.0
-
-    def test_frame_driven_coefficient(self):
-        # time-dependent a(t): deterministic decay matches the trapezoid
-        # exponential by construction
-        spec = TorusSpec(1.0, 2)
-        cfg = make_cfg(spec, sigma=0.0, t_end=0.05)
-        a = lambda t: -1.0 - np.asarray(t, dtype=float)
-        paths = simulate_linear_mode(0, a, cfg, n_paths=1, psi0=0.7)
-        ts = cfg.times()
-        av = a(ts)
-        alpha = np.sum(0.5 * (av[1:] + av[:-1]) * cfg.dt)
-        assert paths[0, -1] == pytest.approx(0.7 * np.exp(alpha / cfg.eps), rel=1e-12)
 
 
 class TestModeZeroMarginal:
@@ -419,8 +424,7 @@ class TestNoiseCount:
         monkeypatch.setattr(_streams, "BLOCK_NORMALS", 30 * 50)
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.05, t_end=0.065)
-        a = lambda t: -np.ones_like(np.asarray(t, dtype=float))
-        simulate_linear_mode(1, a, cfg, n_paths=30)
+        simulate_linear_mode(1, -1.0, cfg, n_paths=30)
         assert len(counts) == 30
         assert set(counts.values()) == {cfg.n_steps}
 

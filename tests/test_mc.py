@@ -345,9 +345,9 @@ class TestThresholdBisect:
     def test_bracket_not_found(self, monkeypatch):
         calls = logistic_transition(monkeypatch, lambda d, e: 1e9)
         with pytest.raises(BracketNotFound) as info:
-            threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.1, max_probes=6)
+            threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.1)
         # the failed search still reports every probe it ran
-        assert len(info.value.probes) == len(calls) == 6
+        assert len(info.value.probes) == len(calls) == mc.MAX_PROBES
         assert [s for _, s, _ in info.value.probes] == calls
 
     def test_probes_are_recorded_with_seeds(self, monkeypatch):

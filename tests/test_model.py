@@ -42,10 +42,11 @@ class TestAllenCahn:
 
     def test_double_root_at_critical_amplitude(self):
         bs = equilibrium_branches(allen_cahn(ALLEN_CAHN_CRITICAL), t=0.0)
-        # colliding pair merges into one multiplicity-2 marginal root
-        assert 2 in bs.multiplicity
-        i = bs.multiplicity.index(2)
-        assert bs.roots[i] == pytest.approx(-1.0 / np.sqrt(3.0), abs=1e-6)
+        # the colliding pair merges into one marginal root beside the
+        # simple stable root 2/sqrt(3)
+        assert len(bs.roots) == 2
+        assert bs.roots[0] == pytest.approx(-1.0 / np.sqrt(3.0), abs=1e-6)
+        assert bs.stability == (Stability.MARGINAL, Stability.STABLE)
 
     def test_discriminant_vanishes_at_critical(self):
         # disc(-phi^3 + phi + A) = 4 - 27 A^2
@@ -68,8 +69,7 @@ class TestNormalForm:
     def test_transcritical_double_root(self):
         bs = equilibrium_branches(normal_form(0.0), t=0.0)
         assert bs.roots == (0.0,)
-        assert bs.multiplicity == (2,)
-        assert bs.stability[0] is Stability.MARGINAL
+        assert bs.stability == (Stability.MARGINAL,)
 
     def test_time_dependence(self):
         bs = equilibrium_branches(normal_form(0.01), t=0.3)
