@@ -421,6 +421,9 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
 def cmd_variance_check(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     if cfg.model.kind != "linear":
         raise ConfigError("[model] kind: variance-check needs the linear model")
+    if cfg.sim.sigma <= 0:
+        raise ConfigError("[sim] sigma: variance-check scales variances by "
+                          "1/sigma**2, so it needs sigma > 0")
     rows, c0 = mode_variance_report(_sim_config(cfg), cfg.mc.n,
                                     cfg.mc.k_max, a=cfg.model.a)
     path = out_dir / "variance.csv"

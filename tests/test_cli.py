@@ -212,11 +212,16 @@ class TestExitCodes:
         ("sweep", BASE + "\n[exits]\nd_level = 0.1\n", [], "[exits] d_level"),
         ("threshold", BASE + "\n[exits]\nd0_level = 0.3\n"
          "\n[threshold]\ndelta_values = 0.04\n", [], "d0_level"),
+        ("variance-check", BASE.replace("K = 4", "K = 2").replace(
+            "normal-form", "linear\na = -1.0").replace(
+            "epsilon = 0.001", "epsilon = 0.01\nt_end = 0.1").replace(
+            "sigma = 0.05", "sigma = 0.0") + "\n[mc]\nn = 20\nk_max = 2\n",
+         [], "[sim] sigma"),
     ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
             "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
             "init-inf", "sigma-lo-negative", "transition-sweep-h",
             "transition-threshold-h", "transition-d-level-alone",
-            "transition-d0-level-alone"])
+            "transition-d0-level-alone", "variance-check-sigma-zero"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)

@@ -398,13 +398,21 @@ class _CountedStream:
 class TestNoiseCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Normals drawn per (trajectory, mode) stream."""
+        """Normals drawn per (trajectory, mode) stream.
+
+        Each stream is named by its key, looked up among the keys of
+        trajectories 0..29 and modes -2..2 at the seeds these tests use.
+        """
         drawn = collections.Counter()
         make = _streams.mode_stream
+        names = [(i, k) for i in range(30) for k in range(-2, 3)]
+        stream_of = {}
+        for seed in (0, 4):
+            keys = _streams.stream_keys(seed, range(30), range(-2, 3))
+            stream_of.update(zip(map(tuple, keys), names))
 
-        def counted(master_seed, traj_index, k, kind=_streams.KIND_FIELD):
-            return _CountedStream(make(master_seed, traj_index, k, kind),
-                                  drawn, (traj_index, k))
+        def counted(key):
+            return _CountedStream(make(key), drawn, stream_of[tuple(key)])
 
         monkeypatch.setattr(_streams, "mode_stream", counted)
         return drawn
