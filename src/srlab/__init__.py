@@ -10,8 +10,7 @@ branches.
 from .spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
                        to_physical)
 from .model import (BranchSet, DriftKind, DriftModel, Stability, allen_cahn,
-                    custom_drift, equilibrium_branches, linear_drift,
-                    normal_form)
+                    equilibrium_branches, linear_drift, normal_form)
 from .adiabatic import AdiabaticFrame, build_frame, deterministic_pde_track
 from .integrator import ExitSpec, NonFinite, SimConfig, simulate_linear_mode
 from .mc import (BatchResult, ExitEvent, ExitStatistics, FitResult,

@@ -33,11 +33,11 @@ from ._streams import derive_seed
 from .adiabatic import FRAME_COLUMNS, StiffnessFailure, build_frame
 from .config import (ConfigError, RunConfig, parse_config, serialize_config,
                      sim_window)
-from .integrator import (TAU_COLUMN, ExitSpec, NonFinite, SimConfig,
-                         simulate_batch, step_grid)
-from .mc import (EVENT_FIELD, BracketNotFound, DegeneratePoints, ExitEvent,
-                 event_probability, fit_line, mode_variance_report, run_batch,
-                 threshold_bisect, transition_study)
+from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
+                         NonFinite, SimConfig, simulate_batch, step_grid)
+from .mc import (BracketNotFound, DegeneratePoints, event_probability,
+                 fit_line, mode_variance_report, run_batch, threshold_bisect,
+                 transition_study)
 from .model import (DriftModel, RootBracketExhausted, allen_cahn,
                     equilibrium_branches, linear_drift, normal_form)
 from .spectral import SpectralField, TorusSpec
@@ -124,20 +124,26 @@ def build_model(cfg: RunConfig, delta: Optional[float] = None) -> DriftModel:
         return allen_cahn(m.amplitude)
     if m.kind == "normal-form":
         return normal_form(m.delta if delta is None else delta, m.cubic, m.a1)
-    if m.kind == "linear":
-        return linear_drift(m.a, m.c)
-    raise ConfigError(f"[model] kind: unknown drift kind {m.kind!r}")
+    return linear_drift(m.a, m.c)
 
 
 def _torus(cfg: RunConfig) -> TorusSpec:
     return TorusSpec(L=cfg.torus.L, K=cfg.torus.K, n_grid=cfg.torus.n_grid)
 
 
+def _step_grid(cfg: RunConfig, t_start: float, t_end: float):
+    """``integrator.step_grid`` of [sim] epsilon and dt on [t_start, t_end]."""
+    try:
+        return step_grid(cfg.sim.epsilon, t_start, t_end, cfg.sim.dt)
+    except ValueError as exc:
+        raise ConfigError(f"[sim] dt: {exc}") from None
+
+
 def _sim_config(cfg: RunConfig, sigma: Optional[float] = None) -> SimConfig:
     """The engine setup of a run on the [sim] window, snapped to whole steps;
     ``sigma`` overrides [sim] sigma."""
     t_start, t_end = sim_window(cfg)
-    dt, t_end = step_grid(cfg.sim.epsilon, t_start, t_end, cfg.sim.dt)
+    dt, t_end = _step_grid(cfg, t_start, t_end)
     return SimConfig(eps=cfg.sim.epsilon,
                      sigma=cfg.sim.sigma if sigma is None else sigma, dt=dt,
                      spec=_torus(cfg), t_start=t_start, t_end=t_end,
@@ -242,8 +248,10 @@ _SWEEP_HEADER = ["delta", "eps", "sigma", "h", "h_perp", "n", "p_hat",
 
 def _sweep_cells(cfg: RunConfig):
     """The (delta, sigma, h) grid; every non-transition event needs its
-    [exits] field, which a [sweep] h_values entry supplies for the radii."""
-    field = EVENT_FIELD.get(ExitEvent(cfg.mc.event))
+    [exits] field, which a [sweep] h_values entry supplies for the radii, and
+    [mc] horizon must follow the start of every cell."""
+    event = ExitEvent(cfg.mc.event)
+    field = EVENT_FIELD.get(event)
     if cfg.sweep.h_values:
         if field is None or field.endswith("_level"):
             raise ConfigError(f"[sweep] h_values: [mc] event = {cfg.mc.event} "
@@ -252,6 +260,14 @@ def _sweep_cells(cfg: RunConfig):
         raise ConfigError(f"[exits] {field}: [mc] event = {cfg.mc.event} is "
                           f"recorded only when {field} is set")
     deltas = cfg.sweep.delta_values or (cfg.model.delta,)
+    for d in deltas:
+        # a transition run starts at -T0 (transition_study); building each
+        # cell's setup here also reports its config errors before any output
+        start = (-_transition_setup(cfg, d)[2]["T0"]
+                 if event is ExitEvent.TRANSITION else _sim_config(cfg).t_start)
+        if cfg.mc.horizon is not None and cfg.mc.horizon <= start:
+            raise ConfigError(f"[mc] horizon: must exceed the start time "
+                              f"{start:g} of the cells at delta = {d:g}")
     sigmas = cfg.sweep.sigma_values or (cfg.sim.sigma,)
     hs = cfg.sweep.h_values or (None,)
     return [(d, s, h) for d in deltas for s in sigmas for h in hs]
@@ -272,6 +288,7 @@ def _transition_setup(cfg: RunConfig, delta: float):
         raise ConfigError("[exits] d_level, d0_level: transition runs need "
                           "both levels or neither")
     T0 = max(cfg.adiabatic.t0, 2.5 * np.sqrt(max(delta, cfg.sim.epsilon)))
+    _step_grid(cfg, -T0, T0)    # transition_study's grid, checked for [sim] dt
     kwargs = {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
               "dt": cfg.sim.dt, "T0": T0}
     if exits.d_level is None:

@@ -2,9 +2,10 @@
 
 Sections mirror the module split (torus, model, sim, exits, adiabatic, mc,
 sweep, threshold); the [exits] section is the engine's ``ExitSpec``, so its
-own checks decide what a valid [exits] is.  Parsing is strict: unknown
-sections or keys and malformed values raise ConfigError with the offending
-section/field named.  The serialised form emits every field, so parse ->
+own checks decide what a valid [exits] is, and [model] kind and [mc] event
+are values of ``model.DriftKind`` and ``integrator.ExitEvent``.  Parsing is
+strict: unknown sections or keys and malformed values raise ConfigError with
+the offending section/field named.  The serialised form emits every field, so parse ->
 serialize -> parse is the identity on configurations.
 """
 
@@ -17,7 +18,8 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_origin
 
-from .integrator import ExitSpec
+from .integrator import ExitEvent, ExitSpec
+from .model import DriftKind
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
            "serialize_config", "sim_window"]
@@ -36,7 +38,7 @@ class TorusSection:
 
 @dataclass
 class ModelSection:
-    kind: str = "normal-form"  # allen-cahn | normal-form | linear
+    kind: str = "normal-form"  # a DriftKind value
     delta: float = 0.04
     cubic: float = 0.0
     a1: float = 1.0
@@ -69,7 +71,7 @@ class AdiabaticSection:
 @dataclass
 class McSection:
     n: int = 200
-    event: str = "transition"
+    event: str = "transition"  # an ExitEvent value
     horizon: Optional[float] = None
     k_max: int = 8
 
@@ -171,8 +173,12 @@ def _validate(cfg: RunConfig):
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (v if isinstance(v, tuple) else (v,))):
                 raise ConfigError(f"[{sf.name}] {f.name}: must be finite")
-    if cfg.model.kind not in ("allen-cahn", "normal-form", "linear"):
-        raise ConfigError(f"[model] kind: unknown drift kind {cfg.model.kind!r}")
+    for where, enum_type, value in (("[model] kind", DriftKind, cfg.model.kind),
+                                    ("[mc] event", ExitEvent, cfg.mc.event)):
+        try:
+            enum_type(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     # delta is a branch gap only in the normal form; elsewhere it is a label
     for where, deltas in (("[model] delta", (cfg.model.delta,)),
                           ("[sweep] delta_values", cfg.sweep.delta_values),
@@ -221,9 +227,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[threshold] sigma_lo: must be below sigma_hi")
     if min(cfg.sweep.h_values, default=1.0) <= 0:
         raise ConfigError("[sweep] h_values: must be > 0")
-    if cfg.mc.event not in ("exit-b", "exit-b0", "exit-bperp", "cross-minus-d",
-                            "reach-minus-d0", "transition"):
-        raise ConfigError(f"[mc] event: unknown event {cfg.mc.event!r}")
     init = cfg.sim.init
     if init not in ("branch", "adiabatic", "zero") and not init.startswith("const:"):
         raise ConfigError(f"[sim] init: unknown initial condition {init!r}")

@@ -22,11 +22,13 @@ STEPS_PER_EPS when left unset) and snaps its window to whole steps.
 Exit sets are monitored online after every step; crossing times are resolved
 at the midpoint of the bracketing step.  ``TAU_COLUMN`` maps each ``ExitSpec``
 field to the hitting-time column its monitor sets; an unset field switches
-its monitor off and leaves the column at inf.  A trajectory that stops at -d0
-or fails (non-finite) leaves the batch's working set after that step, and its
-noise streams are not advanced further.  Each stream belongs to one
-(trajectory, mode) pair and every row's update is independent of the other
-rows, so this cannot change any other trajectory's bits.
+its monitor off and leaves the column at inf; ``EVENT_FIELD`` names the
+field whose monitor records each ``ExitEvent`` but the transition.  A
+trajectory that stops at -d0 or fails (non-finite) leaves the batch's working
+set after that step, and its noise streams are not advanced further.  Each
+stream belongs to one (trajectory, mode) pair and every row's update is
+independent of the other rows, so this cannot change any other trajectory's
+bits.
 
 ``simulate_batch`` is the one engine and its structured array the one outcome
 record, one row per trajectory: ``traj`` (global index), the hitting times
@@ -39,6 +41,7 @@ time) with ``record_fields``.  A single path is ``traj_indices=(i,)``, row 0.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,15 +69,39 @@ def step_grid(eps: float, t_start: float, t_end: float,
               dt: Optional[float] = None) -> tuple[float, float]:
     """(dt, t_end) of a run on [t_start, t_end]: dt defaults to
     eps / STEPS_PER_EPS, and t_end moves to t_start + n dt for the nearest
-    whole number of steps n >= 1."""
+    whole number of steps n >= 1.  ValueError when numpy cannot index n."""
     dt = eps / STEPS_PER_EPS if dt is None else dt
-    n = max(1, int(round((t_end - t_start) / dt)))
+    steps = (t_end - t_start) / dt
+    # SimConfig.times() holds every step time in one numpy array
+    if not steps < np.iinfo(np.intp).max:
+        raise ValueError(f"dt = {dt:g} cuts [{t_start:g}, {t_end:g}] into "
+                         f"{steps:.3g} steps, more than a numpy array can index")
+    n = max(1, int(round(steps)))
     return dt, t_start + n * dt
 
 
 # the hitting-time column that the monitor of each ExitSpec field sets
 TAU_COLUMN = {"h": "tau_b0", "h_perp": "tau_bperp", "h_stable": "tau_b",
               "d_level": "tau_minus_d", "d0_level": "tau_minus_d0"}
+
+
+class ExitEvent(enum.Enum):
+    EXIT_B = "exit-b"
+    EXIT_B0 = "exit-b0"
+    EXIT_BPERP = "exit-bperp"
+    CROSS_MINUS_D = "cross-minus-d"
+    REACH_MINUS_D0 = "reach-minus-d0"
+    TRANSITION = "transition"
+
+
+# the ExitSpec field that switches on the monitor of each non-transition event
+EVENT_FIELD = {
+    ExitEvent.EXIT_B: "h_stable",
+    ExitEvent.EXIT_B0: "h",
+    ExitEvent.EXIT_BPERP: "h_perp",
+    ExitEvent.CROSS_MINUS_D: "d_level",
+    ExitEvent.REACH_MINUS_D0: "d0_level",
+}
 
 
 class NonFinite(RuntimeError):

@@ -7,12 +7,10 @@ The workers form one persistent ``forkserver`` pool, made on the first batch
 that needs it.  Each worker imports the main script again, so a script that
 runs batches at import time must guard that code with
 ``if __name__ == "__main__":``, and a script read from stdin needs
-SRLAB_WORKERS=1.  A batch of one chunk, a batch at one worker, and a batch
-whose model does not pickle (a ``custom_drift`` of lambdas, say) run in the
-calling process.
-``EVENT_FIELD`` maps each event other than the transition to the ``ExitSpec``
-field whose monitor records it (``integrator.TAU_COLUMN`` then names the
-outcome column); an event whose field is unset is never recorded.
+SRLAB_WORKERS=1.  A batch of one chunk, or at one worker, runs in the calling
+process; any other batch sends its model, frame and exit spec to the pool, so
+they must pickle, as every ``DriftModel`` does.  ``ExitEvent`` is the
+integrator's, re-exported.
 Probabilities carry Wilson 95% intervals, which behave correctly at the
 extreme rates these experiments live at.  Log-probability and log-threshold
 fits are plain least squares; the concentration fit keeps only radii with at
@@ -22,10 +20,8 @@ least five successes and p_hat in (0, 1).
 from __future__ import annotations
 
 import atexit
-import enum
 import functools
 import os
-import pickle
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -34,8 +30,9 @@ import numpy as np
 from . import _streams
 from .adiabatic import AdiabaticFrame
 from .config import ConfigError
-from .integrator import (TAU_COLUMN, ExitSpec, SimConfig, simulate_batch,
-                         simulate_linear_mode, step_grid)
+from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
+                         SimConfig, simulate_batch, simulate_linear_mode,
+                         step_grid)
 from .model import (ROOT_BRACKET, DriftModel, equilibrium_branches,
                     normal_form)
 from .spectral import SpectralField, TorusSpec
@@ -96,25 +93,6 @@ class BracketNotFound(RuntimeError):
     def __init__(self, message: str, probes: Sequence = ()):
         super().__init__(message)
         self.probes = list(probes)
-
-
-class ExitEvent(enum.Enum):
-    EXIT_B = "exit-b"
-    EXIT_B0 = "exit-b0"
-    EXIT_BPERP = "exit-bperp"
-    CROSS_MINUS_D = "cross-minus-d"
-    REACH_MINUS_D0 = "reach-minus-d0"
-    TRANSITION = "transition"
-
-
-# the ExitSpec field that switches on the monitor of each non-transition event
-EVENT_FIELD = {
-    ExitEvent.EXIT_B: "h_stable",
-    ExitEvent.EXIT_B0: "h",
-    ExitEvent.EXIT_BPERP: "h_perp",
-    ExitEvent.CROSS_MINUS_D: "d_level",
-    ExitEvent.REACH_MINUS_D0: "d0_level",
-}
 
 
 @dataclass(frozen=True)
@@ -189,14 +167,6 @@ def _run_chunk(cfg, model, init, exits, frame, idx_range):
                           traj_indices=list(idx_range), collect_series=False)
 
 
-def _picklable(obj) -> bool:
-    try:
-        pickle.dumps(obj)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return False
-    return True
-
-
 def _worker_pool(size: int):
     """The module's forkserver process pool, remade when ``size`` changes."""
     global _pool
@@ -261,7 +231,7 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     chunks = _chunk_ranges(n, cfg.spec.n_modes)
     work = functools.partial(_run_chunk, cfg, model, init, exits, frame)
     workers = min(_n_workers(n_workers), len(chunks))
-    if workers > 1 and _picklable(work):
+    if workers > 1:
         results = _run_in_pool(work, chunks, workers)
     else:
         results = [work(c) for c in chunks]

@@ -1,6 +1,6 @@
 """Drift nonlinearities and their equilibrium branches.
 
-Built-in drifts:
+The drifts:
 
 * Allen-Cahn,  f(t, phi) = phi - phi^3 + A cos t, with critical forcing
   amplitude A_c = 2/(3 sqrt 3) at which a stable and the unstable branch
@@ -9,18 +9,16 @@ Built-in drifts:
   an avoided transcritical point at the origin with gap ~ sqrt(delta).
 * linear drift  f(t, phi) = a phi + c  for frozen-coefficient studies.
 
-A built-in ``DriftModel`` is plain data, a drift kind and its parameters:
-``f`` and ``dfdphi`` dispatch to the kind's module-level functions, so two
-models with the same parameters compare equal and every model pickles.
-``custom_drift`` wraps caller-supplied callables instead.
+A ``DriftModel`` is plain data, a drift kind and its parameters: ``f`` and
+``dfdphi`` dispatch to the kind's module-level functions, so two models with
+the same parameters compare equal and every model pickles.  ``DriftKind``'s
+values are the ``[model] kind`` strings of a run configuration.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "allen_cahn",
     "normal_form",
     "linear_drift",
-    "custom_drift",
     "equilibrium_branches",
     "ALLEN_CAHN_CRITICAL",
     "RootBracketExhausted",
@@ -56,7 +53,6 @@ class DriftKind(enum.Enum):
     ALLEN_CAHN = "allen-cahn"
     NORMAL_FORM = "normal-form"
     LINEAR = "linear"
-    CUSTOM = "custom"
 
 
 class Stability(enum.Enum):
@@ -93,7 +89,7 @@ def _linear_dfdphi(t, p, a, c):
     return a * np.ones_like(np.asarray(p, dtype=float))
 
 
-# (f, df/dphi) of each built-in kind, called as fn(t, phi, **params)
+# (f, df/dphi) of each kind, called as fn(t, phi, **params)
 _DRIFTS = {
     DriftKind.ALLEN_CAHN: (_allen_cahn_f, _allen_cahn_dfdphi),
     DriftKind.NORMAL_FORM: (_normal_form_f, _normal_form_dfdphi),
@@ -103,24 +99,16 @@ _DRIFTS = {
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Time-dependent scalar drift f(t, phi) and its phi-derivative.
-
-    Built-in kinds are evaluated from ``params``; a custom drift carries its
-    (f, df/dphi) pair in ``callables`` and no params.
-    """
+    """Time-dependent scalar drift f(t, phi) and its phi-derivative,
+    evaluated from the kind's functions with ``params``."""
 
     kind: DriftKind
     params: dict = field(default_factory=dict)
-    callables: Optional[tuple] = field(default=None, repr=False)
 
     def f(self, t: float, phi):
-        if self.callables is not None:
-            return self.callables[0](t, phi)
         return _DRIFTS[self.kind][0](t, phi, **self.params)
 
     def dfdphi(self, t: float, phi):
-        if self.callables is not None:
-            return self.callables[1](t, phi)
         return _DRIFTS[self.kind][1](t, phi, **self.params)
 
 
@@ -149,20 +137,6 @@ def normal_form(delta: float, cubic: float = 0.0, a1: float = 1.0) -> DriftModel
 def linear_drift(a: float, c: float = 0.0) -> DriftModel:
     """Frozen linear drift f(t, phi) = a phi + c (stable for a < 0)."""
     return DriftModel(DriftKind.LINEAR, {"a": float(a), "c": float(c)})
-
-
-def _central_difference(f, t, p, h=1e-6):
-    return (f(t, p + h) - f(t, p - h)) / (2 * h)
-
-
-def custom_drift(f: Callable, dfdphi: Callable = None) -> DriftModel:
-    """Wrap a user drift; df/dphi defaults to a central finite difference.
-
-    The model pickles when ``f`` and ``dfdphi`` do (module-level functions).
-    """
-    if dfdphi is None:
-        dfdphi = functools.partial(_central_difference, f)
-    return DriftModel(DriftKind.CUSTOM, {}, (f, dfdphi))
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,30 @@ import numpy as np
 import pytest
 
 from srlab.adiabatic import OutOfRange, build_frame, deterministic_pde_track
-from srlab.model import allen_cahn, custom_drift, linear_drift, normal_form
+from srlab.model import (DriftKind, DriftModel, allen_cahn, linear_drift,
+                         normal_form)
 from srlab.spectral import SpectralField, TorusSpec, hs_norm
 
 
 def frozen_affine():
     # f(t, phi) = -phi + 1: fixed point at 1 with linearisation -1
-    return custom_drift(lambda t, p: 1.0 - p,
-                        lambda t, p: -np.ones_like(np.asarray(p, dtype=float)))
+    return linear_drift(-1.0, 1.0)
 
 
 def frozen_quadratic(delta):
-    return custom_drift(lambda t, p: delta - p**2,
-                        lambda t, p: -2.0 * p)
+    # f(t, phi) = delta - phi^2; normal_form() rejects a1 = 0
+    return DriftModel(DriftKind.NORMAL_FORM,
+                      {"delta": delta, "cubic": 0.0, "a1": 0.0})
+
+
+class ReversedNormalForm(DriftModel):
+    """The normal form run backwards in time: f(t, phi) = -f_nf(-t, phi)."""
+
+    def f(self, t, phi):
+        return -super().f(-t, phi)
+
+    def dfdphi(self, t, phi):
+        return -super().dfdphi(-t, phi)
 
 
 class TestTrackStable:
@@ -77,9 +88,7 @@ class TestTrackUnstable:
         delta, eps = 0.04, 1e-3
         nf = normal_form(delta)
         fr_hat = build_frame(nf, eps, T0=0.2)
-        reversed_model = custom_drift(
-            lambda t, p: -nf.f(-t, p),
-            lambda t, p: -nf.dfdphi(-t, p))
+        reversed_model = ReversedNormalForm(nf.kind, nf.params)
         fr_rev = build_frame(reversed_model, eps, T0=0.2, branch="lower")
         np.testing.assert_allclose(fr_rev.phibar[::-1], fr_hat.phihat, atol=1e-8)
 
@@ -90,9 +99,7 @@ class TestZeta:
         np.testing.assert_allclose(fr.zeta, 0.5, atol=1e-12)
 
     def test_frozen_rate_two(self):
-        m = custom_drift(lambda t, p: -2.0 * p,
-                         lambda t, p: -2.0 * np.ones_like(np.asarray(p, dtype=float)))
-        fr = build_frame(m, 1e-2, T0=0.2, grid_step=1e-3)
+        fr = build_frame(linear_drift(-2.0), 1e-2, T0=0.2, grid_step=1e-3)
         np.testing.assert_allclose(fr.zeta, 0.25, atol=1e-12)
 
     def test_frozen_stationarity_residual(self):

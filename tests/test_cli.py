@@ -12,13 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srlab.mc as mc
 from srlab.cli import Manifest, main
-from srlab.config import ConfigError, parse_config_text, serialize_config
-from srlab.integrator import ExitSpec
+from srlab.config import (ConfigError, RunConfig, parse_config_text,
+                          serialize_config)
+from srlab.integrator import ExitEvent, ExitSpec
 from srlab.mc import transition_probability
-from srlab.model import normal_form
+from srlab.model import DriftKind, normal_form
 from test_mc import logistic_transition
 
 BASE = """
@@ -58,6 +61,18 @@ UNMONITORED = BASE.replace("K = 4", "K = 2").replace(
 UNMONITORED_EVENTS = [("cross-minus-d", "d_level"), ("exit-bperp", "h_perp"),
                       ("exit-b", "h_stable"), ("exit-b0", "h"),
                       ("reach-minus-d0", "d0_level")]
+TINY_DT = BASE.replace("K = 4", "K = 2").replace(
+    "epsilon = 0.001", "epsilon = 0.01\ndt = 1e-300")
+
+# every (section, key) of a run configuration, and values for any of them
+CONFIG_KEYS = [(s.name, f.name) for s in dataclasses.fields(RunConfig)
+               for f in dataclasses.fields(getattr(RunConfig(), s.name))]
+CONFIG_VALUES = (["", "0", "1", "-1", "2", "0.25", "1e-4", "1e300", "-1e300",
+                  "1e-300", "nan", "inf", "-inf", "banana", "0.1, 0.2",
+                  "1, -1, 1e300", ", 1"]
+                 + [k.value for k in DriftKind] + [e.value for e in ExitEvent]
+                 + ["branch", "adiabatic", "zero", "const:0.5", "const:nan",
+                    "upper", "lower"])
 
 
 class TestConfig:
@@ -89,10 +104,37 @@ class TestConfig:
             parse_config_text("[sim]\nepsilon = banana\n")
 
     def test_bad_enum_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\[model\] kind"):
             parse_config_text("[model]\nkind = pitchfork\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\[mc\] event"):
             parse_config_text("[mc]\nevent = nope\n")
+        # the enums are the lists of valid values
+        for kind in DriftKind:
+            assert parse_config_text(f"[model]\nkind = {kind.value}\n"
+                                     ).model.kind == kind.value
+        for event in ExitEvent:
+            assert parse_config_text(f"[mc]\nevent = {event.value}\n"
+                                     ).mc.event == event.value
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                           st.sampled_from(CONFIG_VALUES), max_size=3))
+    def test_any_text_parses_or_is_a_config_error(self, entries):
+        # the default configuration's text, every key present, with the
+        # values of ``entries`` put in
+        lines, section = [], None
+        for line in serialize_config(RunConfig()).splitlines():
+            key = line.split(" = ")[0]
+            if line.startswith("["):
+                section = line[1:-1]
+            elif (section, key) in entries:
+                line = f"{key} = {entries[section, key]}"
+            lines.append(line)
+        try:
+            cfg = parse_config_text("\n".join(lines))
+        except ConfigError:
+            return
+        assert parse_config_text(serialize_config(cfg)) == cfg
 
     def test_optional_blank_is_none(self):
         cfg = parse_config_text("[sim]\ndt =\n")
@@ -217,11 +259,17 @@ class TestExitCodes:
             "epsilon = 0.001", "epsilon = 0.01\nt_end = 0.1").replace(
             "sigma = 0.05", "sigma = 0.0") + "\n[mc]\nn = 20\nk_max = 2\n",
          [], "[sim] sigma"),
+        # more steps than a numpy array can index
+        ("simulate", TINY_DT, [], "[sim] dt"),
+        ("sweep", TINY_DT + "\n[mc]\nn = 4\n", [], "[sim] dt"),
+        ("threshold", TINY_DT.replace("K = 2", "K = 0")
+         + "\n[threshold]\ndelta_values = 0.04\nn = 4\n", [], "[sim] dt"),
     ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
             "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
             "init-inf", "sigma-lo-negative", "transition-sweep-h",
             "transition-threshold-h", "transition-d-level-alone",
-            "transition-d0-level-alone", "variance-check-sigma-zero"])
+            "transition-d0-level-alone", "variance-check-sigma-zero",
+            "simulate-dt-tiny", "sweep-dt-tiny", "threshold-dt-tiny"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
@@ -248,13 +296,20 @@ class TestExitCodes:
             "epsilon = 0.001", "epsilon = 0.01") + "\n[mc]\nn = 40\n"
          "event = cross-minus-d\n\n[sweep]\nh_values = 0.1, 0.5\n",
          "[sweep] h_values: [mc] event = cross-minus-d"),
+        # no event can come before the run starts (-T0 = -0.5 here, and
+        # [sim] t_start = -[adiabatic] t0 = -0.2 off the transition): p_hat = 0
+        ("sweep", UNMONITORED.format(event="transition") + "horizon = -5.0\n",
+         "[mc] horizon"),
+        ("sweep", UNMONITORED.format(event="exit-bperp") + "horizon = -0.2\n"
+         "\n[exits]\nh_perp = 0.3\n", "[mc] horizon"),
         # an event whose [exits] field is unset has no monitor: p_hat = 0
     ] + [("sweep", UNMONITORED.format(event=event),
           f"[exits] {field}: [mc] event = {event}")
          for event, field in UNMONITORED_EVENTS],
         ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
              "branch-middle", "k-max-negative", "max-cells-negative",
-             "t-points-zero", "sigma-lo-above-hi", "h-values-without-radius"]
+             "t-points-zero", "sigma-lo-above-hi", "h-values-without-radius",
+             "horizon-before-transition", "horizon-at-start"]
         + [f"unmonitored-{event}" for event, _ in UNMONITORED_EVENTS])
     def test_value_that_ran_silently_is_1(self, tmp_path, capsys, command, text,
                                           field):

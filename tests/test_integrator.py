@@ -12,13 +12,26 @@ from srlab.config import parse_config_text
 from srlab.integrator import (ExitSpec, SimConfig, _step_factors, simulate_batch,
                               simulate_linear_mode)
 from srlab.mc import transition_study
-from srlab.model import custom_drift, linear_drift, normal_form
+from srlab.model import DriftKind, DriftModel, linear_drift, normal_form
 from srlab.spectral import SpectralField, TorusSpec, hs_weights
 
 
 def zero_drift():
-    z = lambda t, p: np.zeros_like(np.asarray(p, dtype=float))
-    return custom_drift(z, z)
+    return linear_drift(0.0)
+
+
+class CubicDrift(DriftModel):
+    """The linear drift of ``params`` plus 4 phi^3, which no drift kind has."""
+
+    def f(self, t, phi):
+        return super().f(t, phi) + 4.0 * phi**3
+
+    def dfdphi(self, t, phi):
+        return super().dfdphi(t, phi) + 12.0 * phi**2
+
+
+# f(t, phi) = -phi + 4 phi^3: stable at 0, escapes past |phi| = 1/2
+STEEP_CUBIC = CubicDrift(DriftKind.LINEAR, linear_drift(-1.0).params)
 
 
 def make_cfg(spec, **kw):
@@ -101,7 +114,7 @@ class TestStep:
         cfg = make_cfg(spec, sigma=0.0, t_end=2 * 5e-4)
         # step 1 takes phi from 1 to ~5e298; step 2's drift overflows under
         # any exact transform
-        blow = custom_drift(lambda t, p: 1e300 * np.asarray(p, dtype=float))
+        blow = linear_drift(1e300)
         rec = simulate_batch(cfg, blow, SpectralField.constant(spec, 1.0), None)[0]
         assert rec["failed"]
         assert np.isfinite(rec["terminal_phi0"])
@@ -266,7 +279,7 @@ class TestBatchDeterminism:
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.25, t_end=0.15, seed=4, record_stride=6,
                        record_fields=True)
-        model = custom_drift(lambda t, p: -p + 4.0 * p**3)
+        model = STEEP_CUBIC
         init = SpectralField.zero(spec)
         ex = ExitSpec(d_level=0.5, d0_level=0.8, h_perp=0.3, h_stable=0.4)
         n = 24
@@ -442,8 +455,7 @@ class TestNoiseCount:
         monkeypatch.setattr(_streams, "BLOCK_NORMALS", 24 * 5 * block)
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.25, t_end=0.065, seed=4)
-        model = custom_drift(lambda t, p: -p + 4.0 * p**3)
-        res = simulate_batch(cfg, model, SpectralField.zero(spec),
+        res = simulate_batch(cfg, STEEP_CUBIC, SpectralField.zero(spec),
                              ExitSpec(d0_level=0.8), None,
                              traj_indices=range(24), collect_series=False)
         tau = res["tau_minus_d0"]

@@ -17,7 +17,7 @@ from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
                       run_batch, scaling_exponent, scalar_transition_probability,
                       threshold_bisect, transition_probability, transition_study,
                       wilson_interval)
-from srlab.model import custom_drift, linear_drift, normal_form
+from srlab.model import linear_drift
 from srlab.spectral import SpectralField, TorusSpec
 
 
@@ -158,22 +158,6 @@ class TestRunBatch:
                              n_workers=workers) for workers in (1, 2)]
         assert batches[0].outcomes["traj"].tolist() == list(range(n))
         assert batches[0].outcomes.tobytes() == batches[1].outcomes.tobytes()
-
-    def test_model_that_does_not_pickle_runs_in_process(self, monkeypatch):
-        def no_pool(size):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(mc, "_worker_pool", no_pool)
-        monkeypatch.setattr(mc, "CHUNK_SIZE", 20 * 9)
-        spec = TorusSpec(1.0, 4)
-        cfg = make_cfg(spec, sigma=0.08, seed=21)
-        model = custom_drift(lambda t, p: -p - p**3)
-        args = (cfg, model, SpectralField.zero(spec), ExitSpec(h_stable=0.12),
-                None, 60)
-        assert len(mc._chunk_ranges(60, spec.n_modes)) == 3
-        a = run_batch(*args, n_workers=1)
-        b = run_batch(*args, n_workers=2)
-        assert a.outcomes.tobytes() == b.outcomes.tobytes()
 
     def test_worker_count_is_capped_at_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 3, 5})

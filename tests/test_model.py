@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from srlab.model import (ALLEN_CAHN_CRITICAL, DriftKind, Stability,
-                         allen_cahn, custom_drift, equilibrium_branches,
-                         linear_drift, normal_form)
+                         allen_cahn, equilibrium_branches, linear_drift,
+                         normal_form)
 from srlab.spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
                             to_physical)
 
@@ -139,21 +139,12 @@ class TestDriftApply:
         assert out.coeff(0) == pytest.approx(0.375 * np.sqrt(2.0), abs=1e-12)
         assert hs_norm(out, 0.0) == pytest.approx(abs(out.coeff(0)), abs=1e-12)
 
-
-class TestCustomDrift:
-    def test_finite_difference_fallback(self):
-        m = custom_drift(lambda t, p: np.sin(p) + t)
-        assert m.dfdphi(0.0, 0.3) == pytest.approx(np.cos(0.3), abs=1e-8)
-
-    def test_kind(self):
-        assert custom_drift(lambda t, p: -p).kind is DriftKind.CUSTOM
-
     def test_pointwise_application(self):
+        # f(0, phi) = -phi^2 for the gapless normal form
         spec = TorusSpec(1.0, 4)
-        m = custom_drift(lambda t, p: p**2)
         f = SpectralField.constant(spec, 3.0)
-        out = projected_drift(m, 0.0, f)
-        np.testing.assert_allclose(to_physical(out), 9.0, atol=1e-10)
+        out = projected_drift(normal_form(0.0), 0.0, f)
+        np.testing.assert_allclose(to_physical(out), -9.0, atol=1e-10)
 
 
 def grid_values(model, t, x):
