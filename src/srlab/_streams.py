@@ -18,6 +18,16 @@ less than a SeedSequence object per stream, and ``mode_stream(key)`` opens one
 stream from its key.  ``mode_stream`` takes the key, not the seed, because it
 is the one per-stream seam: the benchmark's tracer and the noise-count tests
 wrap it to time or count every stream a batch opens.
+
+``BlockNormals`` draws each stream's normals into a (streams, steps) block,
+one size-free ``standard_normal(out=row)`` call per stream, in the fewest
+blocks of about equal length that the caps allow (``_block_steps``).  Steps
+are read from step-major tiles that are copied out of the block a few
+hundred streams at a time, so that each part of the transpose stays in
+cache.  Dropping trajectories only narrows the rows of the block and the
+columns of the tile that are served; their generators leave at the next
+block, so a drop costs no per-stream Python work and no copy.  None of this
+changes a value any stream gives.
 """
 
 from __future__ import annotations
@@ -166,11 +176,26 @@ def derive_seed(master_seed: int, tag: int) -> int:
 
 # A block holds at most BLOCK_NORMALS normals (64 MB) and BLOCK_STEPS steps,
 # so a stopped trajectory wastes at most one block of draws even when few
-# streams share the budget.  Steps are served from step-major tiles of
-# TILE_STEPS steps copied out of the block.
+# streams share the budget; ``_block_steps`` splits a run into the fewest
+# blocks these caps allow, all of about equal length.  Steps are served from
+# step-major tiles of TILE_STEPS steps copied out of the block TILE_STREAMS
+# streams at a time.  On an 8448 x 1024 block (2-vCPU VM) that copy costs
+# ~8 ns per normal as one whole-width transpose, ~3 ns in sub-blocks of 256
+# streams and ~6 ns in sub-blocks of 512, whose part of the tile no longer
+# stays in cache.
 BLOCK_NORMALS = 8_000_000
 BLOCK_STEPS = 1024
 TILE_STEPS = 32
+TILE_STREAMS = 256
+
+
+def _block_steps(n_steps: int, n_streams: int) -> int:
+    """Steps per block of ``n_streams`` streams run for ``n_steps`` steps:
+    the fewest blocks the caps allow, all this long but the last, which is
+    shorter by fewer steps than there are blocks."""
+    cap = min(BLOCK_STEPS, max(16, BLOCK_NORMALS // max(1, n_streams)))
+    n_blocks = max(1, -(-n_steps // cap))
+    return -(-n_steps // n_blocks)
 
 
 class BlockNormals:
@@ -178,11 +203,16 @@ class BlockNormals:
 
     Stream (i, k) is ``mode_stream`` of its ``stream_keys`` row, and step n
     reads the n-th normal of every kept stream, trajectory-major.  Normals
-    are drawn a block of steps at a time, never past ``n_steps``, and
-    only for the trajectories still kept; each step is then read from a
-    contiguous (steps, kept streams) tile of up to TILE_STEPS steps.  A
-    stream's values depend on its key alone, so neither the block length nor
-    dropping other trajectories changes what a kept trajectory sees.
+    are drawn a block of steps at a time (``_block_steps``), never past
+    ``n_steps``, and only for the trajectories kept when the block is
+    drawn; each step is then read from a contiguous (steps, kept streams)
+    tile of up to TILE_STEPS steps, assembled TILE_STREAMS streams at a time
+    so that the transpose stays in cache.  ``keep`` only narrows the rows
+    the block serves and the columns the tile serves; the dropped streams
+    leave the generator list at the next block and the tile at the next
+    tile.  A stream's values depend on its key alone, so neither the block
+    length nor dropping other trajectories changes what a kept trajectory
+    sees.
     """
 
     def __init__(self, master_seed: int, traj_indices, wavenumbers,
@@ -191,13 +221,13 @@ class BlockNormals:
                       stream_keys(master_seed, traj_indices, wavenumbers, kind)]
         self._n_modes = len(wavenumbers)
         self._n_steps = n_steps
-        self._block = min(n_steps, BLOCK_STEPS,
-                          max(16, BLOCK_NORMALS // max(1, len(self._gens))))
+        self._block = _block_steps(n_steps, len(self._gens))
         self._store = np.empty(0)
         self._raw = None      # (streams, steps) of the current block
-        self._rows = None     # rows of the block still served; None for all
+        self._rows = None     # rows of _gens and _raw still served; None for all
         self._lo = self._hi = 0
-        self._tile = None     # (steps, kept streams) for steps tlo..thi-1
+        self._tile = None     # (steps, streams) for steps tlo..thi-1
+        self._cols = None     # columns of _tile still served; None for all
         self._tlo = self._thi = 0
 
     def draw(self, n: int) -> np.ndarray:
@@ -207,12 +237,18 @@ class BlockNormals:
         if not self._tlo <= n < self._thi:
             a = n - self._lo
             b = min(a + TILE_STEPS, self._hi - self._lo)
+            raw, rows = self._raw, self._rows
+            width = len(raw) if rows is None else len(rows)
             self._tile = None   # free the old tile before building the next
-            part = (self._raw[:, a:b] if self._rows is None
-                    else self._raw[self._rows, a:b])
-            self._tile = np.ascontiguousarray(part.T)
+            tile = np.empty((b - a, width))
+            for s0 in range(0, width, TILE_STREAMS):
+                s1 = s0 + TILE_STREAMS
+                tile[:, s0:s1] = (raw[s0:s1, a:b] if rows is None
+                                  else raw[rows[s0:s1], a:b]).T
+            self._tile, self._cols = tile, None
             self._tlo, self._thi = n, n + b - a
-        return self._tile[n - self._tlo]
+        row = self._tile[n - self._tlo]
+        return row if self._cols is None else row[self._cols]
 
     def keep(self, mask) -> None:
         """Keep serving only the trajectories where ``mask`` is true.
@@ -221,19 +257,19 @@ class BlockNormals:
         """
         idx = np.flatnonzero(np.repeat(np.asarray(mask, dtype=bool),
                                        self._n_modes))
-        self._gens = [self._gens[i] for i in idx]
         self._rows = idx if self._rows is None else self._rows[idx]
-        if self._tile is not None:
-            self._tile = np.ascontiguousarray(self._tile[:, idx])
+        self._cols = idx if self._cols is None else self._cols[idx]
 
     def _refill(self, n: int) -> None:
+        if self._rows is not None:
+            self._gens = [self._gens[i] for i in self._rows]
         size = min(self._block, self._n_steps - n)
         count = len(self._gens) * size
         if self._store.size < count:
             self._store = np.empty(count)
         raw = self._store[:count].reshape(len(self._gens), size)
         for g, row in zip(self._gens, raw):
-            g.standard_normal(size, out=row)
+            g.standard_normal(out=row)
         self._raw, self._rows = raw, None
         self._lo, self._hi = n, n + size
-        self._tile, self._tlo, self._thi = None, 0, 0
+        self._tile, self._cols, self._tlo, self._thi = None, None, 0, 0

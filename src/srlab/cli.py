@@ -120,11 +120,15 @@ def build_model(cfg: RunConfig, delta: Optional[float] = None) -> DriftModel:
     """The configured drift; ``delta`` overrides [model] delta, which only
     the normal form reads."""
     m = cfg.model
-    if m.kind == "allen-cahn":
-        return allen_cahn(m.amplitude)
-    if m.kind == "normal-form":
-        return normal_form(m.delta if delta is None else delta, m.cubic, m.a1)
-    return linear_drift(m.a, m.c)
+    try:
+        if m.kind == "allen-cahn":
+            return allen_cahn(m.amplitude)
+        if m.kind == "normal-form":
+            return normal_form(m.delta if delta is None else delta, m.cubic,
+                               m.a1)
+        return linear_drift(m.a, m.c)
+    except ValueError as exc:
+        raise ConfigError(f"[model] {m.kind}: {exc}") from None
 
 
 def _torus(cfg: RunConfig) -> TorusSpec:
@@ -166,7 +170,8 @@ def _build_frame(cfg: RunConfig, model: DriftModel,
                            grid_step=cfg.adiabatic.grid_step,
                            branch=cfg.adiabatic.branch)
     except ValueError as exc:
-        raise ConfigError(f"{exc} for the adiabatic frame") from None
+        raise ConfigError(f"[model], [adiabatic]: {exc} for the adiabatic "
+                          "frame") from None
 
 
 def _init_field(cfg: RunConfig, model: DriftModel, sim: SimConfig,
@@ -181,8 +186,17 @@ def _init_field(cfg: RunConfig, model: DriftModel, sim: SimConfig,
     try:
         root = equilibrium_branches(model, sim.t_start).root(cfg.adiabatic.branch)
     except ValueError as exc:
-        raise ConfigError(f"{exc} for init=branch") from None
+        raise ConfigError(f"[sim] init: {exc} for init=branch") from None
     return SpectralField.constant(spec, root)
+
+
+def _field_setup(cfg: RunConfig, delta: Optional[float], exits: ExitSpec):
+    """(model, sim, frame, init) of a field run at ``delta`` that monitors
+    ``exits``; the frame is None when nothing needs it."""
+    model = build_model(cfg, delta)
+    sim = _sim_config(cfg)
+    frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
+    return model, sim, frame, _init_field(cfg, model, sim, frame)
 
 
 def cmd_branches(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
@@ -221,11 +235,8 @@ def cmd_adiabatic(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
-    model = build_model(cfg)
-    sim = _sim_config(cfg)
     exits = cfg.exits
-    frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
-    init = _init_field(cfg, model, sim, frame)
+    model, sim, frame, init = _field_setup(cfg, None, exits)
     rec = simulate_batch(sim, model, init, exits, frame)[0]
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "phi0", "perp_hs"],
@@ -247,9 +258,14 @@ _SWEEP_HEADER = ["delta", "eps", "sigma", "h", "h_perp", "n", "p_hat",
                  "ci_low", "ci_high", "event"]
 
 def _sweep_cells(cfg: RunConfig):
-    """The (delta, sigma, h) grid; every non-transition event needs its
-    [exits] field, which a [sweep] h_values entry supplies for the radii, and
-    [mc] horizon must follow the start of every cell."""
+    """The (delta, sigma, h) grid and the setup of each delta.
+
+    A transition setup is ``_transition_setup``'s, any other a
+    ``_field_setup``; building them all here reports their config errors
+    before any output.  Every non-transition event needs its [exits] field,
+    which a [sweep] h_values entry supplies for the radii, and [mc] horizon
+    must follow the start of every cell.
+    """
     event = ExitEvent(cfg.mc.event)
     field = EVENT_FIELD.get(event)
     if cfg.sweep.h_values:
@@ -260,17 +276,30 @@ def _sweep_cells(cfg: RunConfig):
         raise ConfigError(f"[exits] {field}: [mc] event = {cfg.mc.event} is "
                           f"recorded only when {field} is set")
     deltas = cfg.sweep.delta_values or (cfg.model.delta,)
+    sigmas = cfg.sweep.sigma_values or (cfg.sim.sigma,)
+    hs = cfg.sweep.h_values or (None,)
+    setups = {}
     for d in deltas:
-        # a transition run starts at -T0 (transition_study); building each
-        # cell's setup here also reports its config errors before any output
-        start = (-_transition_setup(cfg, d)[2]["T0"]
-                 if event is ExitEvent.TRANSITION else _sim_config(cfg).t_start)
+        if event is ExitEvent.TRANSITION:
+            # a transition run starts at -T0 (transition_study)
+            setups[d] = _transition_setup(cfg, d)
+            start = -setups[d][2]["T0"]
+        else:
+            # every h of the grid needs the frame, or none does
+            setups[d] = _field_setup(cfg, d, _cell_exits(cfg, event, hs[0]))
+            start = setups[d][1].t_start
         if cfg.mc.horizon is not None and cfg.mc.horizon <= start:
             raise ConfigError(f"[mc] horizon: must exceed the start time "
                               f"{start:g} of the cells at delta = {d:g}")
-    sigmas = cfg.sweep.sigma_values or (cfg.sim.sigma,)
-    hs = cfg.sweep.h_values or (None,)
-    return [(d, s, h) for d in deltas for s in sigmas for h in hs]
+    return [(d, s, h) for d in deltas for s in sigmas for h in hs], setups
+
+
+def _cell_exits(cfg: RunConfig, event: ExitEvent,
+                h: Optional[float]) -> ExitSpec:
+    """[exits], with ``h`` as the radius of ``event`` when a grid sets one."""
+    if h is None:
+        return cfg.exits
+    return dataclasses.replace(cfg.exits, **{EVENT_FIELD[event]: float(h)})
 
 
 def _transition_setup(cfg: RunConfig, delta: float):
@@ -296,30 +325,28 @@ def _transition_setup(cfg: RunConfig, delta: float):
     return build_model(cfg, delta), exits, kwargs
 
 
-def _sweep_cell_stats(cfg: RunConfig, delta: float, sigma: float,
+def _sweep_cell_stats(cfg: RunConfig, setup, delta: float, sigma: float,
                       h: Optional[float], seed: int):
+    """The event statistics and exits of one cell; ``setup`` is its delta's
+    from ``_sweep_cells``."""
     event = ExitEvent(cfg.mc.event)
     n = cfg.mc.n
     if event is ExitEvent.TRANSITION:
-        model, exits, kwargs = _transition_setup(cfg, delta)
+        model, exits, kwargs = setup
         batch, sim, exits = transition_study(model, delta, cfg.sim.epsilon,
                                              sigma, n, exits, seed=seed,
                                              **kwargs)
     else:
-        model = build_model(cfg, delta)
-        sim = dataclasses.replace(_sim_config(cfg, sigma), seed=seed)
-        exits = cfg.exits
-        if h is not None:
-            exits = dataclasses.replace(exits, **{EVENT_FIELD[event]: float(h)})
-        frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
-        init = _init_field(cfg, model, sim, frame)
+        model, sim, frame, init = setup
+        sim = dataclasses.replace(sim, sigma=sigma, seed=seed)
+        exits = _cell_exits(cfg, event, h)
         batch = run_batch(sim, model, init, exits, frame, n)
     horizon = cfg.mc.horizon if cfg.mc.horizon is not None else sim.t_end
     return event_probability(batch, event, horizon), exits
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
-    cells = _sweep_cells(cfg)
+    cells, setups = _sweep_cells(cfg)
     keys = [f"{idx}:{_fmt(delta)}|{_fmt(sigma)}|{_fmt(h)}"
             for idx, (delta, sigma, h) in enumerate(cells)]
     path = out_dir / "sweep.csv"
@@ -357,8 +384,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     for idx in range(len(completed), end):
         delta, sigma, h = cells[idx]
         cell_seed = derive_seed(cfg.sim.seed, idx)
-        stats, exits = _sweep_cell_stats(cfg, float(delta), float(sigma), h,
-                                         cell_seed)
+        stats, exits = _sweep_cell_stats(cfg, setups[delta], float(delta),
+                                         float(sigma), h, cell_seed)
         with open(path, "a", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in (
                 delta, cfg.sim.epsilon, sigma, h, exits.h_perp, stats.n,

@@ -326,14 +326,15 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             perp_sq = (np.sum(w_perp * state**2, axis=-1)
                        if perp_every_step or record_now else None)
 
+            # a radius whose square overflows squares to inf: never reached
             if monitor_perp:
-                mark(tau_bperp, perp_sq >= exits.h_perp**2)
+                mark(tau_bperp, perp_sq >= np.float64(exits.h_perp) ** 2)
             if monitor_b0:
                 dev = np.abs(v0 - phibar_steps[n + 1])
                 mark(tau_b0, dev >= thr_b0[n + 1])
             if monitor_b:
                 norm_b = perp_sq + (c0 - ref0_steps[n + 1]) ** 2
-                mark(tau_b, norm_b >= exits.h_stable**2)
+                mark(tau_b, norm_b >= np.float64(exits.h_stable) ** 2)
             if exits.d_level is not None:
                 mark(tau_d, v0 <= -exits.d_level)
             if exits.d0_level is not None:

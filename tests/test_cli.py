@@ -1,13 +1,16 @@
 """CLI: config round trip, subcommands, manifests, resume, reproducibility."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srlab.mc as mc
-from srlab.cli import Manifest, main
+from srlab.cli import _COMMANDS, Manifest, main
 from srlab.config import (ConfigError, RunConfig, parse_config_text,
                           serialize_config)
-from srlab.integrator import ExitEvent, ExitSpec
+from srlab.integrator import TAU_COLUMN, ExitEvent, ExitSpec
 from srlab.mc import transition_probability
 from srlab.model import DriftKind, normal_form
 from test_mc import logistic_transition
@@ -74,6 +77,32 @@ CONFIG_VALUES = (["", "0", "1", "-1", "2", "0.25", "1e-4", "1e300", "-1e300",
                  + ["branch", "adiabatic", "zero", "const:0.5", "const:nan",
                     "upper", "lower"])
 
+# the default configuration at sizes that run in well under a second
+SMALL = RunConfig()
+SMALL.torus.K = 2
+SMALL.model.delta = 0.01
+SMALL.sim.epsilon = 0.05
+SMALL.adiabatic.t0 = 0.1
+SMALL.adiabatic.t_points = 5
+SMALL.mc.n = 8
+SMALL.mc.k_max = 2
+SMALL.threshold.delta_values = (0.01,)
+SMALL.threshold.n = 8
+
+
+def config_text(entries, base=None):
+    """The text of ``base`` (the default configuration) with every key
+    present and the values of ``entries`` put in."""
+    lines, section = [], None
+    for line in serialize_config(base or RunConfig()).splitlines():
+        key = line.split(" = ")[0]
+        if line.startswith("["):
+            section = line[1:-1]
+        elif (section, key) in entries:
+            line = f"{key} = {entries[section, key]}"
+        lines.append(line)
+    return "\n".join(lines)
+
 
 class TestConfig:
     def test_round_trip_identity(self):
@@ -120,18 +149,8 @@ class TestConfig:
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS),
                            st.sampled_from(CONFIG_VALUES), max_size=3))
     def test_any_text_parses_or_is_a_config_error(self, entries):
-        # the default configuration's text, every key present, with the
-        # values of ``entries`` put in
-        lines, section = [], None
-        for line in serialize_config(RunConfig()).splitlines():
-            key = line.split(" = ")[0]
-            if line.startswith("["):
-                section = line[1:-1]
-            elif (section, key) in entries:
-                line = f"{key} = {entries[section, key]}"
-            lines.append(line)
         try:
-            cfg = parse_config_text("\n".join(lines))
+            cfg = parse_config_text(config_text(entries))
         except ConfigError:
             return
         assert parse_config_text(serialize_config(cfg)) == cfg
@@ -204,6 +223,8 @@ class TestExitCodes:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "no stable equilibrium" in err and "adiabatic frame" in err
+        assert "[model]" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("grid_step", ["0.01", "0.0"])
     def test_grid_step_outside_range_is_1(self, tmp_path, capsys, grid_step):
@@ -264,12 +285,18 @@ class TestExitCodes:
         ("sweep", TINY_DT + "\n[mc]\nn = 4\n", [], "[sim] dt"),
         ("threshold", TINY_DT.replace("K = 2", "K = 0")
          + "\n[threshold]\ndelta_values = 0.04\nn = 4\n", [], "[sim] dt"),
+        # the normal form needs a1 > 0; allen-cahn a forcing >= 0
+        ("simulate", BASE.replace("delta = 0.04", "delta = 0.04\na1 = 0.0"),
+         [], "[model] normal-form"),
+        ("adiabatic", BASE.replace("normal-form", "allen-cahn\namplitude = -1"),
+         [], "[model] allen-cahn"),
     ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
             "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
             "init-inf", "sigma-lo-negative", "transition-sweep-h",
             "transition-threshold-h", "transition-d-level-alone",
             "transition-d0-level-alone", "variance-check-sigma-zero",
-            "simulate-dt-tiny", "sweep-dt-tiny", "threshold-dt-tiny"])
+            "simulate-dt-tiny", "sweep-dt-tiny", "threshold-dt-tiny",
+            "a1-zero", "amplitude-negative"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
@@ -317,6 +344,34 @@ class TestExitCodes:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
         assert field in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_COMMANDS)),
+           st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                           st.sampled_from(CONFIG_VALUES), min_size=1,
+                           max_size=3))
+    def test_any_config_gives_an_exit_code_not_a_traceback(self, command,
+                                                           entries):
+        # every command, in-process, on the small configuration with up to
+        # three values from the pool put in
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "run.ini"
+            path.write_text(config_text(entries, SMALL))
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out", out])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("field", ["h_perp", "h_stable"])
+    def test_radius_whose_square_overflows_is_never_reached(self, tmp_path,
+                                                            field):
+        text = BASE + f"\n[exits]\n{field} = 1e300\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        extras = json.loads((tmp_path / "simulate_manifest.json").read_text())[
+            "extras"]
+        assert math.isinf(extras["hitting_times"][TAU_COLUMN[field]])
 
     def test_negative_delta_is_a_label_off_the_normal_form(self):
         text = BASE.replace("normal-form", "linear").replace("delta = 0.04",

@@ -451,13 +451,23 @@ class TestNoiseCount:
 
     def test_stopped_rows_draw_nothing_after_their_block(self, counts,
                                                          monkeypatch):
-        block = 50
-        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 24 * 5 * block)
+        # a cap of 50 steps cuts the 130 steps into blocks of 44, 44 and 42
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 24 * 5 * 50)
+        made = []
+
+        class Recorded(_streams.BlockNormals):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(_streams, "BlockNormals", Recorded)
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.25, t_end=0.065, seed=4)
         res = simulate_batch(cfg, STEEP_CUBIC, SpectralField.zero(spec),
                              ExitSpec(d0_level=0.8), None,
                              traj_indices=range(24), collect_series=False)
+        block = _streams._block_steps(cfg.n_steps, 24 * spec.n_modes)
+        assert len(made) == 1 and made[0]._store.size <= 24 * 5 * block
         tau = res["tau_minus_d0"]
         stopped = np.isfinite(tau)
         assert stopped.any() and res["failed"].any()

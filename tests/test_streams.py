@@ -1,4 +1,5 @@
-"""The stream key contract: ``stream_keys`` is numpy's SeedSequence."""
+"""The stream key contract: ``stream_keys`` is numpy's SeedSequence, and
+``BlockNormals`` serves each stream's own normals."""
 
 import os
 import subprocess
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from srlab import _streams
-from srlab._streams import (KIND_FIELD, KIND_ORACLE, derive_seed, mode_key,
-                            mode_stream, stream_keys)
+from srlab._streams import (KIND_FIELD, KIND_ORACLE, BlockNormals,
+                            derive_seed, mode_key, mode_stream, stream_keys)
 
 K = 3
 TRAJ = [0, 5, 2**32 - 1]
@@ -57,3 +58,45 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n_steps,n_streams", [(1, 1), (130, 1), (1000, 10_000),
+                                               (1000, 10_001), (3000, 1),
+                                               (777, 2_000_000)])
+def test_blocks_are_the_fewest_the_caps_allow_and_even(n_steps, n_streams):
+    cap = min(_streams.BLOCK_STEPS,
+              max(16, _streams.BLOCK_NORMALS // n_streams))
+    block = _streams._block_steps(n_steps, n_streams)
+    n_blocks = -(-n_steps // block)
+    assert block <= cap and n_blocks == -(-n_steps // cap)
+    assert n_steps - (n_blocks - 1) * block > block - n_blocks
+
+
+@pytest.mark.parametrize("n_traj,modes", [(1, (0,)), (255, (0,)), (256, (0,)),
+                                          (257, (0,)), (200, (-1, 0, 3))],
+                         ids=["1", "255", "256", "257", "600"])
+def test_block_normals_serve_each_streams_own_normals(n_traj, modes,
+                                                      monkeypatch):
+    # blocks of at most 40 steps: 150 steps run as 38, 38, 38 and 36
+    n_steps, n_modes = 150, len(modes)
+    monkeypatch.setattr(_streams, "BLOCK_NORMALS", 40 * n_traj * n_modes)
+    block = _streams._block_steps(n_steps, n_traj * n_modes)
+    assert n_steps % block and n_steps > 3 * block
+    keys = stream_keys(11, range(n_traj), modes)
+    direct = np.array([mode_stream(key).standard_normal(n_steps)
+                       for key in keys])
+    # keep after a step mid-tile, on a tile edge, just before a refill, and
+    # on a tile edge and a block edge at once
+    keep_after = {10, _streams.TILE_STEPS - 1, block - 1, block + 5,
+                  2 * block - 1}
+    rng = np.random.default_rng(n_traj)
+    kept = np.arange(n_traj)
+    noise = BlockNormals(11, range(n_traj), modes, n_steps)
+    for n in range(n_steps):
+        streams = (kept[:, None] * n_modes + np.arange(n_modes)).ravel()
+        np.testing.assert_array_equal(noise.draw(n), direct[streams, n])
+        if n in keep_after:
+            mask = rng.random(kept.size) < 0.8
+            mask[0] = True   # a single trajectory stays
+            noise.keep(mask)
+            kept = kept[mask]
