@@ -7,8 +7,7 @@ intensity separating rare from near-certain transitions between equilibrium
 branches.
 """
 
-from .spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
-                       to_physical)
+from .spectral import SpectralField, TorusSpec, hs_norm
 from .model import (BranchSet, DriftKind, DriftModel, Stability, allen_cahn,
                     equilibrium_branches, linear_drift, normal_form)
 from .adiabatic import AdiabaticFrame, build_frame, deterministic_pde_track

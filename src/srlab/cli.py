@@ -304,9 +304,9 @@ def _cell_exits(cfg: RunConfig, event: ExitEvent,
 
 def _transition_setup(cfg: RunConfig, delta: float):
     """(model, exits, transition_study keywords) of the avoided-bifurcation
-    run at ``delta``: the configured normal form, and the [exits] fields when
-    both levels are set (the study's default levels and [exits] h_perp
-    otherwise)."""
+    run at ``delta``: the configured normal form, and an ExitSpec of the
+    [exits] levels when both are set (None, the study's default levels,
+    otherwise).  No transition output reads a radius, so none is monitored."""
     if cfg.model.kind != "normal-form":
         raise ConfigError("[model] kind: transition runs need the normal form")
     exits = cfg.exits
@@ -320,29 +320,28 @@ def _transition_setup(cfg: RunConfig, delta: float):
     _step_grid(cfg, -T0, T0)    # transition_study's grid, checked for [sim] dt
     kwargs = {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
               "dt": cfg.sim.dt, "T0": T0}
-    if exits.d_level is None:
-        exits, kwargs["h_perp"] = None, exits.h_perp
-    return build_model(cfg, delta), exits, kwargs
+    levels = (None if exits.d_level is None else
+              ExitSpec(d_level=exits.d_level, d0_level=exits.d0_level))
+    return build_model(cfg, delta), levels, kwargs
 
 
 def _sweep_cell_stats(cfg: RunConfig, setup, delta: float, sigma: float,
                       h: Optional[float], seed: int):
-    """The event statistics and exits of one cell; ``setup`` is its delta's
-    from ``_sweep_cells``."""
+    """The event statistics of one cell; ``setup`` is its delta's from
+    ``_sweep_cells``."""
     event = ExitEvent(cfg.mc.event)
     n = cfg.mc.n
     if event is ExitEvent.TRANSITION:
         model, exits, kwargs = setup
-        batch, sim, exits = transition_study(model, delta, cfg.sim.epsilon,
-                                             sigma, n, exits, seed=seed,
-                                             **kwargs)
+        batch, sim, _ = transition_study(model, delta, cfg.sim.epsilon,
+                                         sigma, n, exits, seed=seed, **kwargs)
     else:
         model, sim, frame, init = setup
         sim = dataclasses.replace(sim, sigma=sigma, seed=seed)
         exits = _cell_exits(cfg, event, h)
         batch = run_batch(sim, model, init, exits, frame, n)
     horizon = cfg.mc.horizon if cfg.mc.horizon is not None else sim.t_end
-    return event_probability(batch, event, horizon), exits
+    return event_probability(batch, event, horizon)
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
@@ -384,8 +383,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     for idx in range(len(completed), end):
         delta, sigma, h = cells[idx]
         cell_seed = derive_seed(cfg.sim.seed, idx)
-        stats, exits = _sweep_cell_stats(cfg, setups[delta], float(delta),
-                                         float(sigma), h, cell_seed)
+        stats = _sweep_cell_stats(cfg, setups[delta], float(delta),
+                                  float(sigma), h, cell_seed)
+        exits = _cell_exits(cfg, stats.event, h)  # h_perp echoed, monitored or not
         with open(path, "a", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in (
                 delta, cfg.sim.epsilon, sigma, h, exits.h_perp, stats.n,

@@ -2,11 +2,12 @@
 
 Sections mirror the module split (torus, model, sim, exits, adiabatic, mc,
 sweep, threshold); the [exits] section is the engine's ``ExitSpec``, so its
-own checks decide what a valid [exits] is, and [model] kind and [mc] event
-are values of ``model.DriftKind`` and ``integrator.ExitEvent``.  Parsing is
-strict: unknown sections or keys and malformed values raise ConfigError with
-the offending section/field named.  The serialised form emits every field, so parse ->
-serialize -> parse is the identity on configurations.
+own checks decide what a valid [exits] is, as ``TorusSpec``'s do for [torus],
+and [model] kind and [mc] event are values of ``model.DriftKind`` and
+``integrator.ExitEvent``.  Parsing is strict: unknown sections or keys and
+malformed values raise ConfigError with the offending section/field named.
+The serialised form emits every field, so parse -> serialize -> parse is the
+identity on configurations.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional, get_args, get_origin
 
 from .integrator import ExitEvent, ExitSpec
 from .model import DriftKind
+from .spectral import TorusSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
            "serialize_config", "sim_window"]
@@ -185,12 +187,10 @@ def _validate(cfg: RunConfig):
                           ("[threshold] delta_values", cfg.threshold.delta_values)):
         if cfg.model.kind == "normal-form" and min(deltas, default=0) < 0:
             raise ConfigError(f"{where}: branch gaps must be >= 0")
-    if cfg.torus.L <= 0:
-        raise ConfigError("[torus] L: must be > 0")
-    if cfg.torus.K < 0:
-        raise ConfigError("[torus] K: must be >= 0")
-    if cfg.torus.n_grid != 0 and cfg.torus.n_grid < 2 * cfg.torus.K + 1:
-        raise ConfigError("[torus] n_grid: must be 0 or >= 2K+1")
+    try:
+        TorusSpec(cfg.torus.L, cfg.torus.K, cfg.torus.n_grid)
+    except ValueError as exc:
+        raise ConfigError(f"[torus] {exc}") from None
     if cfg.sim.epsilon <= 0:
         raise ConfigError("[sim] epsilon: must be > 0")
     if min((cfg.sim.sigma,) + cfg.sweep.sigma_values) < 0:

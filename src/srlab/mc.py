@@ -53,7 +53,6 @@ __all__ = [
     "mode_variance_report",
     "scalar_transition_probability",
     "fit_line",
-    "UnknownEvent",
     "DegeneratePoints",
     "BracketNotFound",
     "WORKERS_ENV_VAR",
@@ -76,10 +75,6 @@ WILSON_Z = 1.96
 MIN_FIT_SUCCESSES = 5
 # transition_probability calls that one threshold_bisect may make
 MAX_PROBES = 28
-
-
-class UnknownEvent(ValueError):
-    pass
 
 
 class DegeneratePoints(RuntimeError):
@@ -243,12 +238,8 @@ def run_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
 
 def event_probability(batch: BatchResult, event: ExitEvent,
                       horizon: float) -> ExitStatistics:
-    """Fraction of trajectories with the event before the horizon, Wilson CI."""
-    if not isinstance(event, ExitEvent):
-        try:
-            event = ExitEvent(event)
-        except ValueError:
-            raise UnknownEvent(f"unknown event {event!r}") from None
+    """Fraction of trajectories with ``event``, an ``ExitEvent`` (not its
+    string), before the horizon, Wilson CI."""
     o = batch.outcomes
     if event is ExitEvent.TRANSITION:
         hit = (o["tau_minus_d0"] <= horizon) & (o["tau_minus_d"] <= o["tau_minus_d0"])

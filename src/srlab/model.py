@@ -200,27 +200,20 @@ def equilibrium_branches(model: DriftModel, t: float) -> BranchSet:
     """
     g = lambda p: float(model.f(t, p))
     xs = np.linspace(-ROOT_BRACKET, ROOT_BRACKET, 2001)
-    fs = np.asarray(model.f(t, xs), dtype=float)
-    roots: list[float] = []
-    sign = np.sign(fs)
-    for i in range(len(xs) - 1):
-        if sign[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif sign[i] * sign[i + 1] < 0:
-            roots.append(_polish_root(g, float(xs[i]), float(xs[i + 1])))
-    if sign[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    sign = np.sign(np.asarray(model.f(t, xs), dtype=float))
+    # scan points where f is exactly 0, then the brackets where it changes sign
+    roots: list[float] = xs[sign == 0].tolist()
+    roots += [_polish_root(g, float(xs[i]), float(xs[i + 1]))
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
 
     # tangencies: critical points of f where f itself vanishes (double roots)
     dg = lambda p: float(model.dfdphi(t, p))
-    dfs = np.asarray(model.dfdphi(t, xs), dtype=float)
-    dsign = np.sign(dfs)
-    for i in range(len(xs) - 1):
-        if dsign[i] * dsign[i + 1] < 0:
-            xc = _polish_root(dg, float(xs[i]), float(xs[i + 1]))
-            if abs(g(xc)) <= 1e-8 and all(abs(xc - r) > DOUBLE_ROOT_TOL
-                                          for r in roots):
-                roots.append(xc)
+    dsign = np.sign(np.asarray(model.dfdphi(t, xs), dtype=float))
+    for i in np.flatnonzero(dsign[:-1] * dsign[1:] < 0):
+        xc = _polish_root(dg, float(xs[i]), float(xs[i + 1]))
+        if abs(g(xc)) <= 1e-8 and all(abs(xc - r) > DOUBLE_ROOT_TOL
+                                      for r in roots):
+            roots.append(xc)
 
     roots.sort()
     merged: list[float] = []

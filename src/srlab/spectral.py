@@ -12,7 +12,8 @@ product with weight L/n_grid on the uniform grid x_j = 2L j / n_grid covering
 one full period.  All physical-space sampling below uses that grid, which
 makes projection exact on the cutoff space whenever n_grid >= 2K+1.
 
-Grid transforms are products with the cached real basis matrices
+Grid transforms (``batch_to_physical``, ``batch_from_physical``: one field
+per row, any leading shape) are products with the cached real basis matrices
 ``TorusSpec.synthesis`` (e_k(x_j)) and ``TorusSpec.analysis`` (its
 quadrature-weighted transpose), run by BLAS in the process that runs
 the chunk (see ``srlab.mc``).  A row costs O(n_modes * n_grid) against the FFT's
@@ -39,8 +40,6 @@ __all__ = [
     "SpectralField",
     "hs_norm",
     "hs_weights",
-    "to_physical",
-    "from_physical",
     "batch_to_physical",
     "batch_from_physical",
 ]
@@ -65,14 +64,18 @@ class TorusSpec:
 
     def __post_init__(self):
         if not (self.L > 0 and np.isfinite(self.L)):
-            raise ValueError(f"torus length must be positive, got {self.L}")
+            raise ValueError(f"L: must be positive and finite, got {self.L}")
         if self.K < 0:
-            raise ValueError(f"spectral cutoff must be >= 0, got {self.K}")
+            raise ValueError(f"K: must be >= 0, got {self.K}")
+        with np.errstate(over="ignore"):    # mu_K, the largest eigenvalue
+            mu_max = (np.float64(self.K) * np.pi / self.L) ** 2
+        if not np.isfinite(mu_max):
+            raise ValueError(f"L: {self.L} makes (K pi / L)^2 overflow at K = {self.K}")
         if self.n_grid == 0:
             object.__setattr__(self, "n_grid", max(4 * self.K, 8))
         if self.n_grid < 2 * self.K + 1:
-            raise ValueError(
-                f"n_grid={self.n_grid} too small for K={self.K} (need >= 2K+1)")
+            raise ValueError(f"n_grid: must be 0 or >= 2K+1 = {2 * self.K + 1}, "
+                             f"got {self.n_grid}")
 
     @property
     def n_modes(self) -> int:
@@ -233,13 +236,3 @@ def batch_from_physical(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
         raise ValueError(
             f"expected {spec.n_grid} samples, got {values.shape[-1]}")
     return _rows_product(values, spec.analysis)
-
-
-def to_physical(fld: SpectralField) -> np.ndarray:
-    """Grid samples of the field at x_j = 2L j / n_grid."""
-    return batch_to_physical(fld.coeffs, fld.spec)
-
-
-def from_physical(samples, spec: TorusSpec) -> SpectralField:
-    """Spectral projection of grid samples (inverse of to_physical on cutoff fields)."""
-    return SpectralField(spec, batch_from_physical(np.asarray(samples, dtype=float), spec))

@@ -52,4 +52,11 @@ def settable_values():
 
 def test_settable_value_count():
     # lower it when a change removes a settable value; a rise needs a reason
-    assert settable_values() == (41, 163)
+    assert settable_values() == (41, 160)
+
+
+def test_public_name_count():
+    # the names in the srlab modules' __all__; lower it when a change
+    # removes one, a rise needs a reason
+    assert sum(len(getattr(importlib.import_module(name), "__all__", ()))
+               for name in MODULES) == 52

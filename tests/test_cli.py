@@ -251,6 +251,9 @@ class TestExitCodes:
         ("simulate", BASE.replace("K = 4", "K = 4\nL = 0.0"), [], "[torus] L"),
         ("simulate", BASE.replace("K = 4", "K = 4\nn_grid = 3"), [],
          "[torus] n_grid"),
+        # the largest eigenvalue (K pi / L)^2 overflows
+        ("simulate", BASE.replace("K = 4", "K = 4\nL = 1e-300"), [],
+         "[torus] L"),
         ("sweep", BASE + "\n[mc]\nn = 0\n", [], "[mc] n"),
         ("threshold", BASE + "\n[threshold]\ndelta_values = 0.04\nn = 0\n", [],
          "[threshold] n"),
@@ -290,8 +293,9 @@ class TestExitCodes:
          [], "[model] normal-form"),
         ("adiabatic", BASE.replace("normal-form", "allen-cahn\namplitude = -1"),
          [], "[model] allen-cahn"),
-    ], ids=["seed", "seed-override", "L", "n_grid", "mc-n", "threshold-n",
-            "epsilon-inf", "sigma-values-negative", "exit-radius", "exit-levels",
+    ], ids=["seed", "seed-override", "L", "n_grid", "L-eigenvalue-overflow",
+            "mc-n", "threshold-n", "epsilon-inf", "sigma-values-negative",
+            "exit-radius", "exit-levels",
             "init-inf", "sigma-lo-negative", "transition-sweep-h",
             "transition-threshold-h", "transition-d-level-alone",
             "transition-d0-level-alone", "variance-check-sigma-zero",
@@ -638,8 +642,8 @@ class TestSweepCommand:
         assert json.loads(before)["command"] == "sweep"
 
     def test_transition_cells_monitor_h_perp_without_levels(self, tmp_path):
-        # [exits] h_perp alone is monitored with the default levels; it
-        # stops no trajectory, so p_hat is the same as without it
+        # [exits] h_perp alone goes with the default levels: sweep.csv
+        # echoes it, and p_hat is the same as without it
         plain = tmp_path / "plain"
         perp = tmp_path / "perp"
         assert main(["sweep", "--config", write_cfg(tmp_path, SWEEP, "a.ini"),
@@ -651,6 +655,39 @@ class TestSweepCommand:
         _, plain_rows = read_csv(plain / "sweep.csv")
         col = header.index("h_perp")
         assert [float(r[col]) for r in rows] == [0.5] * 3
+        assert [r[:col] + r[col + 1:] for r in rows] == \
+            [r[:col] + r[col + 1:] for r in plain_rows]
+
+    @pytest.mark.parametrize("levels", ["", "d_level = 0.15\nd0_level = 0.35\n"],
+                             ids=["default-levels", "exits-levels"])
+    def test_transition_cells_hand_the_engine_only_levels(self, tmp_path,
+                                                          monkeypatch, levels):
+        # no transition output reads a radius, so [exits] h_perp and
+        # h_stable reach no batch; sweep.csv still echoes h_perp
+        seen = []
+        run_batch = mc.run_batch
+
+        def spy(cfg, model, init, exits, *args):
+            seen.append(exits)
+            return run_batch(cfg, model, init, exits, *args)
+
+        monkeypatch.setattr(mc, "run_batch", spy)
+        text = SWEEP + "\n[exits]\n" + levels
+        assert main(["sweep", "--config", write_cfg(tmp_path, text, "a.ini"),
+                     "--out", str(tmp_path / "plain")]) == 0
+        plain_exits, seen[:] = list(seen), []
+        text += "h_perp = 0.3\nh_stable = 0.5\n"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text, "b.ini"),
+                     "--out", str(tmp_path / "radii")]) == 0
+        assert len(seen) == 3 and seen == plain_exits
+        assert all(e.h is None and e.h_perp is None and e.h_stable is None
+                   for e in seen)
+        if levels:
+            assert {(e.d_level, e.d0_level) for e in seen} == {(0.15, 0.35)}
+        header, rows = read_csv(tmp_path / "radii" / "sweep.csv")
+        _, plain_rows = read_csv(tmp_path / "plain" / "sweep.csv")
+        col = header.index("h_perp")
+        assert [float(r[col]) for r in rows] == [0.3] * 3
         assert [r[:col] + r[col + 1:] for r in rows] == \
             [r[:col] + r[col + 1:] for r in plain_rows]
 

@@ -12,7 +12,7 @@ import srlab.mc as mc
 from srlab.config import ConfigError
 from srlab.integrator import ExitSpec, SimConfig, simulate_batch
 from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
-                      ExitStatistics, UnknownEvent, concentration_fit,
+                      ExitStatistics, concentration_fit,
                       event_probability, fit_line, mode_variance_report,
                       run_batch, scaling_exponent, scalar_transition_probability,
                       threshold_bisect, transition_probability, transition_study,
@@ -230,14 +230,6 @@ def test_pool_workers_get_one_blas_thread_unless_set():
 
 
 class TestEventProbability:
-    def test_unknown_event(self):
-        spec = TorusSpec(1.0, 1)
-        cfg = make_cfg(spec)
-        batch = run_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
-                          None, None, n=2)
-        with pytest.raises(UnknownEvent):
-            event_probability(batch, "spontaneous-combustion", 1.0)
-
     def test_generous_radius_never_exits(self):
         spec = TorusSpec(1.0, 2)
         cfg = make_cfg(spec, sigma=0.01, seed=2)
@@ -251,7 +243,7 @@ class TestEventProbability:
         cfg = make_cfg(spec, sigma=0.05, seed=2)
         batch = run_batch(cfg, linear_drift(-1.0), SpectralField.zero(spec),
                           ExitSpec(h_perp=1e-9), None, n=50)
-        st = event_probability(batch, "exit-bperp", cfg.t_end)
+        st = event_probability(batch, ExitEvent.EXIT_BPERP, cfg.t_end)
         assert st.p_hat == 1.0 and st.ci_high == 1.0
 
 

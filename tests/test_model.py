@@ -8,13 +8,14 @@ import pytest
 from srlab.model import (ALLEN_CAHN_CRITICAL, DriftKind, Stability,
                          allen_cahn, equilibrium_branches, linear_drift,
                          normal_form)
-from srlab.spectral import (SpectralField, TorusSpec, from_physical, hs_norm,
-                            to_physical)
+from srlab.spectral import (SpectralField, TorusSpec, batch_from_physical,
+                            batch_to_physical, hs_norm)
 
 
 def projected_drift(model, t, fld):
     """Spectral coefficients of x -> f(t, phi(x)), as the integrator forms them."""
-    return from_physical(model.f(t, to_physical(fld)), fld.spec)
+    values = model.f(t, batch_to_physical(fld.coeffs, fld.spec))
+    return SpectralField(fld.spec, batch_from_physical(values, fld.spec))
 
 
 def cubic_roots_oracle(A):
@@ -144,7 +145,8 @@ class TestDriftApply:
         spec = TorusSpec(1.0, 4)
         f = SpectralField.constant(spec, 3.0)
         out = projected_drift(normal_form(0.0), 0.0, f)
-        np.testing.assert_allclose(to_physical(out), -9.0, atol=1e-10)
+        np.testing.assert_allclose(batch_to_physical(out.coeffs, spec), -9.0,
+                                   atol=1e-10)
 
 
 def grid_values(model, t, x):
@@ -165,3 +167,12 @@ def test_builtin_models_pickle(model):
 
 def test_linear_drift_has_its_own_kind():
     assert linear_drift(-1.0).kind is DriftKind.LINEAR
+
+
+@pytest.mark.parametrize("c", [-3.0, 0.0, 3.0])
+def test_root_on_a_scan_point_is_found_once(c):
+    # f = c - phi vanishes exactly at a scan point: an end of the root
+    # bracket or its centre
+    bs = equilibrium_branches(linear_drift(-1.0, c), 0.0)
+    assert bs.roots == (c,)
+    assert bs.stability == (Stability.STABLE,)

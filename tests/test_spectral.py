@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab.spectral import (SpectralField, TorusSpec, batch_from_physical,
-                            batch_to_physical, from_physical, hs_norm,
-                            to_physical)
+                            batch_to_physical, hs_norm)
 
 
 @pytest.fixture
@@ -17,11 +16,11 @@ def spec():
 
 def basis_values(spec, k):
     """e_k sampled on spec.grid."""
-    return to_physical(SpectralField.basis(spec, k))
+    return batch_to_physical(SpectralField.basis(spec, k).coeffs, spec)
 
 
 def sup_norm(fld):
-    return float(np.max(np.abs(to_physical(fld))))
+    return float(np.max(np.abs(batch_to_physical(fld.coeffs, fld.spec))))
 
 
 def random_field(spec, seed=0, scale=1.0):
@@ -84,51 +83,50 @@ class TestHsNorm:
 
 class TestTransforms:
     def test_zero_field(self, spec):
-        assert np.all(to_physical(SpectralField.zero(spec)) == 0.0)
+        assert np.all(batch_to_physical(np.zeros(spec.n_modes), spec) == 0.0)
 
     def test_constant_mode(self):
         sp = TorusSpec(4.0, 3)
-        vals = to_physical(SpectralField.basis(sp, 0, 2.0))
+        vals = 2.0 * basis_values(sp, 0)
         np.testing.assert_allclose(vals, 1.0)  # 2 * e_0 = 2/sqrt(4)
 
     def test_pointwise_matches_direct_evaluation(self):
         sp = TorusSpec(1.0, 2, 8)
-        vals = to_physical(SpectralField.basis(sp, 1))
+        vals = basis_values(sp, 1)
         expect = np.sqrt(2.0) * np.cos(np.pi * sp.grid)
         np.testing.assert_allclose(vals, expect, atol=1e-12)
 
     @pytest.mark.parametrize("k", [-5, -1, 0, 2, 6])
     def test_every_basis_vector_roundtrips(self, spec, k):
-        f = SpectralField.basis(spec, k)
-        back = from_physical(to_physical(f), spec)
-        np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-12)
+        c = SpectralField.basis(spec, k).coeffs
+        back = batch_from_physical(batch_to_physical(c, spec), spec)
+        np.testing.assert_allclose(back, c, atol=1e-12)
 
     def test_roundtrip_random_field(self, spec):
         f = random_field(spec, seed=1)
-        f = f * (1.0 / hs_norm(f, 0.0))
-        back = from_physical(to_physical(f), spec)
-        np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-10)
+        c = f.coeffs / hs_norm(f, 0.0)
+        back = batch_from_physical(batch_to_physical(c, spec), spec)
+        np.testing.assert_allclose(back, c, atol=1e-10)
 
     def test_quadrature_exact_at_cutoff(self):
         sp = TorusSpec(1.0, 5, 11)  # minimal grid n = 2K+1
-        f = SpectralField.basis(sp, 5)
-        back = from_physical(to_physical(f), sp)
-        np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-10)
+        c = SpectralField.basis(sp, 5).coeffs
+        back = batch_from_physical(batch_to_physical(c, sp), sp)
+        np.testing.assert_allclose(back, c, atol=1e-10)
 
     def test_length_mismatch(self, spec):
         with pytest.raises(ValueError):
-            from_physical(np.zeros(spec.n_grid + 1), spec)
+            batch_from_physical(np.zeros(spec.n_grid + 1), spec)
 
     def test_constant_samples(self):
         sp = TorusSpec(2.0, 3)
-        f = from_physical(np.full(sp.n_grid, 0.7), sp)
+        f = SpectralField(sp, batch_from_physical(np.full(sp.n_grid, 0.7), sp))
         assert f.coeff(0) == pytest.approx(0.7 * np.sqrt(2.0))
         others = [f.coeff(k) for k in range(-3, 4) if k != 0]
         np.testing.assert_allclose(others, 0.0, atol=1e-14)
 
     def test_discrete_orthonormality(self, spec):
-        G = np.array([to_physical(SpectralField.basis(spec, k))
-                      for k in range(-spec.K, spec.K + 1)])
+        G = batch_to_physical(np.eye(spec.n_modes), spec)
         gram = G @ G.T * spec.quad_weight
         np.testing.assert_allclose(gram, np.eye(spec.n_modes), atol=1e-10)
 
@@ -263,9 +261,8 @@ coeff_arrays = st.lists(
 @given(coeff_arrays)
 def test_roundtrip_property(coeffs):
     sp = TorusSpec(1.0, 6)
-    f = SpectralField(sp, coeffs)
-    back = from_physical(to_physical(f), sp)
-    np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-10 * (1 + np.abs(coeffs).max()))
+    back = batch_from_physical(batch_to_physical(coeffs, sp), sp)
+    np.testing.assert_allclose(back, coeffs, atol=1e-10 * (1 + np.abs(coeffs).max()))
 
 
 @settings(max_examples=50, deadline=None)
