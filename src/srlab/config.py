@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 class TorusSection:
     L: float = 1.0
     K: int = 32
-    n_grid: int = 0  # 0 -> max(4K, 8)
+    n_grid: int = 0  # 0 -> 1 at K = 0, else max(4K, 8) (TorusSpec)
 
 
 @dataclass

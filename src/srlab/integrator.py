@@ -42,6 +42,7 @@ time) with ``record_fields``.  A single path is ``traj_indices=(i,)``, row 0.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,8 +50,11 @@ import numpy as np
 
 from . import _streams
 from .model import DriftModel
-from .spectral import (SpectralField, TorusSpec, batch_from_physical,
-                       batch_to_physical, hs_weights)
+from .spectral import (DENSE_BLOCK, SpectralField, TorusSpec, _block_buffer,
+                       hs_weights)
+# perfbench/tracer.py looks the transforms up under these names; the step
+# loop runs the basis-matrix products into its own buffers instead
+from .spectral import batch_from_physical, batch_to_physical  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -195,7 +199,9 @@ def _step_factors(cfg: SimConfig):
     mu = cfg.spec.eigenvalues
     theta = cfg.dt / cfg.eps
     decay = np.exp(-mu * theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # 2 mu overflows when mu is within a factor 2 of the float64 maximum;
+    # such a mode then gets var = 0, its limit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         psi = np.where(mu > 0, -np.expm1(-mu * theta) / np.where(mu > 0, mu, 1.0),
                        theta)
         var = np.where(mu > 0, -np.expm1(-2.0 * mu * theta) / np.where(mu > 0, 2.0 * mu, 1.0),
@@ -213,7 +219,10 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     index, mode), so the result does not depend on how trajectories are
     grouped into batches.  The working arrays hold active trajectories only:
     a row that reaches -d0 or blows up leaves them after that step, and each
-    working row writes its outcomes back to its original position.  Returns
+    working row writes its outcomes back to its original position.  The
+    state lives in the leading rows of a zero-padded block buffer
+    (``spectral._block_buffer``) that both grid transforms multiply into
+    buffers made once per call, so a step allocates nothing for them.  Returns
     the outcome record (module docstring), one row per entry of
     ``traj_indices``, with the series when ``collect_series``.
     """
@@ -263,7 +272,23 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
     tau_b0, tau_bperp, tau_b, tau_d, tau_d0 = (out[c] for c in TAU_COLUMN.values())
     failed, terminal_phi0 = out["failed"], out["terminal_phi0"]
 
-    state = np.tile(init.coeffs, (n_traj, 1))
+    # rows past the working ones stay zero (see retire)
+    state_buf = _block_buffer(n_traj, spec.n_modes)
+    grid_buf = np.empty(state_buf.shape[:2] + (spec.n_grid,))
+    drift_buf = np.empty_like(state_buf)
+    noise_buf = np.empty((n_traj, spec.n_modes))
+    state_rows = state_buf.reshape(-1, spec.n_modes)
+    drift_rows = drift_buf.reshape(-1, spec.n_modes)
+    synthesis, analysis = spec.synthesis, spec.analysis
+
+    def working_views(n_rows):
+        """(state, drift, noise) rows and (state, grid, drift) blocks in use."""
+        b = -(-n_rows // DENSE_BLOCK)
+        return (state_rows[:n_rows], drift_rows[:n_rows], noise_buf[:n_rows],
+                state_buf[:b], grid_buf[:b], drift_buf[:b])
+
+    state, drift, noise_term, state_blk, grid_blk, drift_blk = working_views(n_traj)
+    state[:] = init.coeffs
     rows = np.arange(n_traj)   # original position of each working row
     v0 = state[:, i0] / sqrt_l
 
@@ -279,6 +304,10 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
                                    n_steps) if cfg.sigma > 0 else None)
 
     monitor_perp = exits.h_perp is not None
+    # an unset level is -inf, which no finite phi0 reaches
+    d_low = -np.inf if exits.d_level is None else -exits.d_level
+    d0_low = -np.inf if exits.d0_level is None else -exits.d0_level
+    watch_levels = exits.d_level is not None or exits.d0_level is not None
     # transverse norm is needed every step only when a norm monitor is active
     perp_every_step = monitor_perp or monitor_b
     perp_sq = None
@@ -291,10 +320,17 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
 
     def retire(gone, last_v0):
         """Drop the working rows in ``gone``; their terminal phi0 is last_v0."""
-        nonlocal state, v0, perp_sq, rows
+        nonlocal state, drift, noise_term, state_blk, grid_blk, drift_blk
+        nonlocal v0, perp_sq, rows
         terminal_phi0[rows[gone]] = last_v0[gone]
         keep = ~gone
-        state, v0, rows = state[keep], v0[keep], rows[keep]
+        kept = state[keep]
+        n_old = len(state)
+        state, drift, noise_term, state_blk, grid_blk, drift_blk = \
+            working_views(len(kept))
+        state[:] = kept
+        state_rows[len(kept):n_old] = 0.0
+        v0, rows = v0[keep], rows[keep]
         if perp_sq is not None:
             perp_sq = perp_sq[keep]
         if noise is not None:
@@ -305,19 +341,26 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             if not rows.size:
                 break
             t_n = times[n]
-            vals = model.f(t_n, batch_to_physical(state, spec))
-            drift = batch_from_physical(np.asarray(vals, dtype=float), spec)
+            np.matmul(state_blk, synthesis, out=grid_blk)
+            np.matmul(model.f(t_n, grid_blk), analysis, out=drift_blk)
             # in place, but in the order of decay*state + psi*drift + noise
             state *= decay
             drift *= psi
             state += drift
             if noise is not None:
-                state += noise_std * noise.draw(n).reshape(state.shape)
+                np.multiply(noise_std, noise.draw(n).reshape(state.shape),
+                            out=noise_term)
+                state += noise_term
 
-            finite = np.isfinite(state.sum(axis=1))
-            if not finite.all():
-                failed[rows[~finite]] = True
-                retire(~finite, v0)   # v0 still holds the last finite step
+            # a row fails when its row sum is not finite; any such row makes
+            # the total non-finite, so only then is the row mask built
+            row_sums = state.sum(axis=1)
+            if not math.isfinite(row_sums.sum()):
+                bad = ~np.isfinite(row_sums)
+                failed[rows[bad]] = True
+                retire(bad, v0)   # v0 still holds the last finite step
+                if not rows.size:
+                    break
 
             t_cross = t_n + 0.5 * cfg.dt
             c0 = state[:, i0]
@@ -335,13 +378,14 @@ def simulate_batch(cfg: SimConfig, model: DriftModel, init: SpectralField,
             if monitor_b:
                 norm_b = perp_sq + (c0 - ref0_steps[n + 1]) ** 2
                 mark(tau_b, norm_b >= np.float64(exits.h_stable) ** 2)
-            if exits.d_level is not None:
-                mark(tau_d, v0 <= -exits.d_level)
-            if exits.d0_level is not None:
-                hit = v0 <= -exits.d0_level
+            # the downward levels test masks only once the lowest row is down
+            v_min = v0.min() if watch_levels else np.inf
+            if v_min <= d_low:
+                mark(tau_d, v0 <= d_low)
+            if v_min <= d0_low:
+                hit = v0 <= d0_low
                 mark(tau_d0, hit)
-                if hit.any():
-                    retire(hit, v0)
+                retire(hit, v0)
 
             if record_now:
                 ridx = (n + 1) // cfg.record_stride

@@ -19,8 +19,9 @@ quadrature-weighted transpose), run by BLAS in the process that runs
 the chunk (see ``srlab.mc``).  A row costs O(n_modes * n_grid) against the FFT's
 O(n_grid log n_grid): on transition batches with the default grid, faster
 than numpy's rfft/irfft pair up to K = 32, about even at K = 48 and slower
-from K = 64 on.  The product runs in zero-padded blocks of DENSE_BLOCK rows,
-so every row goes through the same gemm kernel and its bits do not depend on
+from K = 64 on.  The product runs in zero-padded blocks of DENSE_BLOCK rows
+(``_block_buffer``, whose layout the batch engine keeps its state in), so
+every row goes through the same gemm kernel and its bits do not depend on
 how many rows share the call.  They do depend on the BLAS build and the CPU:
 reproducible on one machine, not across machines.
 
@@ -54,8 +55,11 @@ DENSE_BLOCK = 16
 class TorusSpec:
     """Spectral discretisation: torus length L, cutoff K, physical grid size.
 
-    Modes k in {-K, ..., K}.  ``n_grid`` defaults to max(4K, 8), which
-    dealiases cubic nonlinearities (n_grid >= (p+1)K for degree-p drift).
+    Modes k in {-K, ..., K}.  Projecting a degree-p polynomial of a cutoff-K
+    field onto the modes is exact when n_grid >= (p+1)K + 1.  ``n_grid``
+    defaults to 1 at K = 0, where every field is constant, and to
+    max(4K, 8) for K >= 1: that dealiases quadratic drifts, but for K >= 2
+    it aliases a cubic term into the modes +-K.
     """
 
     L: float
@@ -72,7 +76,8 @@ class TorusSpec:
         if not np.isfinite(mu_max):
             raise ValueError(f"L: {self.L} makes (K pi / L)^2 overflow at K = {self.K}")
         if self.n_grid == 0:
-            object.__setattr__(self, "n_grid", max(4 * self.K, 8))
+            object.__setattr__(self, "n_grid",
+                               max(4 * self.K, 8) if self.K else 1)
         if self.n_grid < 2 * self.K + 1:
             raise ValueError(f"n_grid: must be 0 or >= 2K+1 = {2 * self.K + 1}, "
                              f"got {self.n_grid}")
@@ -197,22 +202,26 @@ def hs_norm(fld: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * fld.coeffs**2)))
 
 
+def _block_buffer(n: int, width: int) -> np.ndarray:
+    """Zeroed (blocks, DENSE_BLOCK, width) buffer with room for n rows.
+
+    The grid transforms keep their rows in the leading rows of such a buffer
+    and multiply it block by block, so that each row goes through the same
+    gemm kernel whatever the row count.  BLAS rounds a row differently
+    depending on the product's shape: numpy sends one row to gemv, and gemm's
+    kernels treat edge rows and large products differently.
+    """
+    return np.zeros((-(-n // DENSE_BLOCK), DENSE_BLOCK, width))
+
+
 def _rows_product(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """a @ matrix over the last axis, with bits per row that do not depend on
-    how many rows there are.
-
-    BLAS rounds a row differently depending on the product's shape: numpy
-    sends one row to gemv, and gemm's kernels treat edge rows and large
-    products differently.  So the rows go through zero-padded blocks of
-    DENSE_BLOCK rows, one gemm of the same shape each.
-    """
+    how many rows there are (see ``_block_buffer``)."""
     rows = a.reshape(-1, a.shape[-1])
     n, m = rows.shape
-    blocks = -(-n // DENSE_BLOCK)
-    padded = np.empty((blocks * DENSE_BLOCK, m))
-    padded[:n] = rows
-    padded[n:] = 0.0
-    out = padded.reshape(blocks, DENSE_BLOCK, m) @ matrix
+    padded = _block_buffer(n, m)
+    padded.reshape(-1, m)[:n] = rows
+    out = padded @ matrix
     return out.reshape(-1, matrix.shape[1])[:n].reshape(a.shape[:-1] + matrix.shape[1:])
 
 

@@ -33,6 +33,8 @@ from srlab.model import (Stability, allen_cahn, equilibrium_branches,
                          linear_drift, normal_form)
 from srlab.spectral import SpectralField, TorusSpec, hs_norm
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num, name, passed, detail, t0):
     status = "PASS" if passed else "FAIL"

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,20 @@ class TestExitCodes:
         cfg.sim.record_stride = 50
         path = write_cfg(tmp_path, serialize_config(cfg))
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+
+    def test_largest_finite_eigenvalue_is_2_without_warnings(self, tmp_path,
+                                                             capsys):
+        # (2 pi / L)^2 ~ 1.5e308 passes the config check, and the mean mode's
+        # noise of size 1/sqrt(L) blows the run up
+        text = BASE.replace("K = 4", "K = 2\nL = 5.1e-154").replace(
+            "epsilon = 0.001", "epsilon = 0.05")
+        path = write_cfg(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", path, "--out",
+                         str(tmp_path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_dt_above_epsilon_is_1(self, tmp_path, capsys, command):

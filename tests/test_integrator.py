@@ -1,6 +1,7 @@
 """Integrator: exponential Euler stepping, noise law, exit detection."""
 
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ class TestNoiseIncrementStd:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             make_cfg(TorusSpec(1.0, 0), dt=-1.0)
+
+    def test_largest_finite_eigenvalue_warns_nothing(self):
+        # mu_2 ~ 1.5e308 is finite, 2 mu_2 is not: the mode's variance is 0
+        spec = TorusSpec(5.1e-154, 2)
+        assert np.isfinite(spec.eigenvalues).all()
+        cfg = make_cfg(spec, eps=0.05, dt=0.05 / 20, t_end=0.05 / 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decay, psi, noise_std = _step_factors(cfg)
+        assert noise_std[spec.index_of(2)] == 0.0
+        assert np.isfinite(decay).all() and np.isfinite(psi).all()
 
 
 class TestStepGrid:
@@ -273,16 +285,24 @@ class TestBatchDeterminism:
             assert single[name][0] == batch[name][9]
 
     def test_mixed_batch_matches_single_runs_bitwise(self):
+        self.check_mixed_batch(K=2, n=24)
+
+    def test_mixed_k0_batch_across_blocks_matches_single_runs_bitwise(self):
+        # the default one-point grid; 21 of the 40 rows leave, so the
+        # working rows shrink across the 16-row blocks of the engine's buffer
+        self.check_mixed_batch(K=0, n=40)
+
+    @staticmethod
+    def check_mixed_batch(K, n):
         # rows stop at -d0, blow up or run to the end, and so leave the
         # batch's working set at different steps; each row's outcome and
         # series must still be those of the same index simulated alone
-        spec = TorusSpec(1.0, 2)
+        spec = TorusSpec(1.0, K)
         cfg = make_cfg(spec, sigma=0.25, t_end=0.15, seed=4, record_stride=6,
                        record_fields=True)
         model = STEEP_CUBIC
         init = SpectralField.zero(spec)
         ex = ExitSpec(d_level=0.5, d0_level=0.8, h_perp=0.3, h_stable=0.4)
-        n = 24
         batch = simulate_batch(cfg, model, init, ex, None, traj_indices=range(n))
         stopped = np.isfinite(batch["tau_minus_d0"])
         failed = batch["failed"]

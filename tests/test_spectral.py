@@ -131,6 +131,42 @@ class TestTransforms:
         np.testing.assert_allclose(gram, np.eye(spec.n_modes), atol=1e-10)
 
 
+class TestAliasing:
+    """Projecting a degree-p polynomial of a cutoff-K field is exact when
+    n_grid >= (p+1)K + 1, and aliases the top modes at n_grid = (p+1)K."""
+
+    @staticmethod
+    def projected_power(coeffs, K, n_grid, p):
+        sp = TorusSpec(1.0, K, n_grid)
+        return batch_from_physical(batch_to_physical(coeffs, sp) ** p, sp)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("K", [2, 4, 16])
+    def test_power_is_exact_from_p_plus_one_K_plus_one(self, K, p):
+        coeffs = np.random.default_rng(K).standard_normal(2 * K + 1)
+        fine = self.projected_power(coeffs, K, 8 * K + 8, p)
+        scale = np.abs(fine).max()
+        exact = self.projected_power(coeffs, K, (p + 1) * K + 1, p)
+        assert np.abs(exact - fine).max() <= 1e-12 * scale
+        # for p = 3 this is the default grid, 4K
+        aliased = self.projected_power(coeffs, K, (p + 1) * K, p)
+        err = np.abs(aliased - fine)
+        assert err[[0, -1]].max() > 1e-6 * scale   # modes -K and K
+        assert err[1:-1].max() <= 1e-12 * scale
+
+    def test_every_default_grid_dealiases_quadratic_drifts(self):
+        assert all(TorusSpec(1.0, K).n_grid >= 3 * K + 1 for K in range(257))
+
+    @pytest.mark.parametrize("L", [1.0, 2.0, 3.7])
+    def test_one_point_grid_projects_a_constant_field_as_eight_do(self, L):
+        # K = 0 fields are constant, so the default grid is one point
+        assert TorusSpec(L, 0).n_grid == 1
+        c = np.random.default_rng(7).standard_normal((1000, 1))
+        one = self.projected_power(c, 0, 1, 2)
+        eight = self.projected_power(c, 0, 8, 2)
+        np.testing.assert_allclose(one, eight, rtol=4 * np.finfo(float).eps)
+
+
 def _irfft_synthesis(coeffs, spec):
     """FFT reference for batch_to_physical: pack the coefficients, one irfft."""
     K, n, L = spec.K, spec.n_grid, spec.L
