@@ -465,11 +465,21 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
 def cmd_variance_check(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     if cfg.model.kind != "linear":
         raise ConfigError("[model] kind: variance-check needs the linear model")
-    if cfg.sim.sigma <= 0:
+    if not cfg.model.a < 0:
+        raise ConfigError("[model] a: variance-check needs every mode to "
+                          "contract, and mode 0 does only when a < 0")
+    if not 0 < cfg.sim.sigma * cfg.sim.sigma < math.inf:
         raise ConfigError("[sim] sigma: variance-check scales variances by "
-                          "1/sigma**2, so it needs sigma > 0")
-    rows, c0 = mode_variance_report(_sim_config(cfg), cfg.mc.n,
-                                    cfg.mc.k_max, a=cfg.model.a)
+                          "1/sigma**2, so sigma**2 must be positive and finite")
+    if cfg.mc.n < 2:
+        raise ConfigError("[mc] n: variance-check estimates sample variances, "
+                          "so it needs n >= 2 paths")
+    sim = _sim_config(cfg)
+    if sim.record_stride > sim.n_steps:
+        raise ConfigError(f"[sim] record_stride: {sim.record_stride} exceeds "
+                          f"the window's {sim.n_steps} steps, so only t_start "
+                          "would be recorded")
+    rows, c0 = mode_variance_report(sim, cfg.mc.n, cfg.mc.k_max, a=cfg.model.a)
     path = out_dir / "variance.csv"
     _write_csv(path, ["k", "mu_k", "var_final", "se_final", "var_sup",
                       "exact_var", "ratio_sup", "bound", "c0_fit"],

@@ -403,28 +403,31 @@ def simulate_linear_mode(k: int, a: float, cfg: SimConfig,
 
         d psi_k = (1/eps)(-mu_k + a) psi_k dt + (sigma/sqrt(eps)) dW_k
 
-    with a constant coefficient ``a``: each step multiplies by the exact
-    decay factor and adds a Gaussian increment of the closed-form one-step
-    variance.  Returns paths sampled at the record times, shape
-    (n_paths, n_rec).
+    with a constant coefficient ``a``.  The mode is an Ornstein-Uhlenbeck
+    process, so it is advanced exactly over any interval: each update
+    jumps from one record time to the next (``h = dt * record_stride``),
+    multiplying by the exact decay factor over ``h`` and adding a Gaussian
+    increment of the closed-form variance over ``h``.  One normal per path
+    per record interval, none after the last record time; ``dt`` only
+    places the record times.  Returns paths sampled at the record times,
+    shape (n_paths, n_rec).
     """
     abar = -(k * np.pi / cfg.spec.L) ** 2 + float(a)
     if abar >= 0:
         raise ValueError(f"mode {k} is not contracting")
-    dalpha = abar * cfg.dt
+    h = cfg.dt * cfg.record_stride
+    dalpha = abar * h
     m = np.exp(dalpha / cfg.eps)
-    rate = -dalpha / cfg.dt
+    rate = -dalpha / h
     std = np.sqrt(cfg.sigma**2 * (-np.expm1(2.0 * dalpha / cfg.eps)
                                   / (2.0 * rate)))
 
-    n_steps = cfg.n_steps
-    n_rec = n_steps // cfg.record_stride + 1
+    n_rec = cfg.n_steps // cfg.record_stride + 1
     out = np.empty((n_paths, n_rec))
     psi = np.full(n_paths, float(psi0))
     out[:, 0] = psi
-    noise = _streams.BlockNormals(cfg.seed, range(n_paths), (k,), n_steps)
-    for n in range(n_steps):
-        psi = m * psi + std * noise.draw(n)
-        if (n + 1) % cfg.record_stride == 0:
-            out[:, (n + 1) // cfg.record_stride] = psi
+    noise = _streams.BlockNormals(cfg.seed, range(n_paths), (k,), n_rec - 1)
+    for r in range(1, n_rec):
+        psi = m * psi + std * noise.draw(r - 1)
+        out[:, r] = psi
     return out

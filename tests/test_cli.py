@@ -89,6 +89,15 @@ SMALL.mc.n = 8
 SMALL.mc.k_max = 2
 SMALL.threshold.delta_values = (0.01,)
 SMALL.threshold.n = 8
+# the same on the linear model, the one variance-check runs
+SMALL_LINEAR = dataclasses.replace(
+    SMALL, model=dataclasses.replace(SMALL.model, kind="linear"))
+# the keys variance-check reads
+VARIANCE_CHECK_KEYS = [("torus", "L"), ("torus", "K"), ("torus", "n_grid"),
+                       ("model", "a"), ("sim", "epsilon"), ("sim", "sigma"),
+                       ("sim", "dt"), ("sim", "t_start"), ("sim", "t_end"),
+                       ("sim", "seed"), ("sim", "record_stride"),
+                       ("mc", "n"), ("mc", "k_max")]
 
 
 def config_text(entries, base=None):
@@ -308,6 +317,17 @@ class TestExitCodes:
          [], "[model] normal-form"),
         ("adiabatic", BASE.replace("normal-form", "allen-cahn\namplitude = -1"),
          [], "[model] allen-cahn"),
+        # no sample variance from one path
+        ("variance-check", config_text({("mc", "n"): "1"}, SMALL_LINEAR), [],
+         "[mc] n"),
+        # sigma**2 underflows to 0 or overflows, and the report divides by it
+        ("variance-check", config_text({("sim", "sigma"): "1e-300"},
+                                       SMALL_LINEAR), [], "[sim] sigma"),
+        ("variance-check", config_text({("sim", "sigma"): "1e300"},
+                                       SMALL_LINEAR), [], "[sim] sigma"),
+        # mode 0 does not contract
+        ("variance-check", config_text({("model", "a"): "0"}, SMALL_LINEAR),
+         [], "[model] a"),
     ], ids=["seed", "seed-override", "L", "n_grid", "L-eigenvalue-overflow",
             "mc-n", "threshold-n", "epsilon-inf", "sigma-values-negative",
             "exit-radius", "exit-levels",
@@ -315,7 +335,9 @@ class TestExitCodes:
             "transition-threshold-h", "transition-d-level-alone",
             "transition-d0-level-alone", "variance-check-sigma-zero",
             "simulate-dt-tiny", "sweep-dt-tiny", "threshold-dt-tiny",
-            "a1-zero", "amplitude-negative"])
+            "a1-zero", "amplitude-negative", "variance-check-n-one",
+            "variance-check-sigma-square-underflows",
+            "variance-check-sigma-square-overflows", "variance-check-a-zero"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
@@ -348,6 +370,10 @@ class TestExitCodes:
          "[mc] horizon"),
         ("sweep", UNMONITORED.format(event="exit-bperp") + "horizon = -0.2\n"
          "\n[exits]\nh_perp = 0.3\n", "[mc] horizon"),
+        # a stride past the window's 400 steps records only t_start: every
+        # variance, its SE and c0_fit read 0
+        ("variance-check", config_text({("sim", "record_stride"): "100000"},
+                                       SMALL_LINEAR), "[sim] record_stride"),
         # an event whose [exits] field is unset has no monitor: p_hat = 0
     ] + [("sweep", UNMONITORED.format(event=event),
           f"[exits] {field}: [mc] event = {event}")
@@ -355,7 +381,8 @@ class TestExitCodes:
         ids=["sigma-nan", "sigma-values-inf", "t-end-before-t-start",
              "branch-middle", "k-max-negative", "max-cells-negative",
              "t-points-zero", "sigma-lo-above-hi", "h-values-without-radius",
-             "horizon-before-transition", "horizon-at-start"]
+             "horizon-before-transition", "horizon-at-start",
+             "variance-check-stride-past-window"]
         + [f"unmonitored-{event}" for event, _ in UNMONITORED_EVENTS])
     def test_value_that_ran_silently_is_1(self, tmp_path, capsys, command, text,
                                           field):
@@ -379,6 +406,28 @@ class TestExitCodes:
             path.write_text(config_text(entries, SMALL))
             with contextlib.redirect_stderr(err):
                 code = main([command, "--config", str(path), "--out", out])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.sampled_from(VARIANCE_CHECK_KEYS),
+                           st.sampled_from(CONFIG_VALUES), min_size=1,
+                           max_size=3))
+    def test_any_linear_config_gives_variance_check_an_exit_code(self, entries):
+        # the fuzz above stops variance-check at "needs the linear model";
+        # this one starts from the linear model and varies only what the
+        # report reads
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "run.ini"
+            path.write_text(config_text(entries, SMALL_LINEAR))
+            with contextlib.redirect_stderr(err):
+                code = main(["variance-check", "--config", str(path),
+                             "--out", out])
+            if code == 0:
+                # a report that exits 0 saw spread at its final record time
+                _, rows = read_csv(Path(out) / "variance.csv")
+                assert all(0 < float(r[3]) < math.inf for r in rows)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
 

@@ -347,6 +347,37 @@ class TestLinearModeSampler:
         with pytest.raises(ValueError):
             simulate_linear_mode(0, 2.0, cfg)
 
+    def test_stride_one_is_the_recursion_over_the_stream(self):
+        spec = TorusSpec(1.0, 4)
+        cfg = make_cfg(spec, sigma=0.3, t_end=0.05, seed=17)
+        k, a = 3, -1.0
+        paths = simulate_linear_mode(k, a, cfg, n_paths=3, psi0=0.2)
+        dalpha = (-(k * np.pi) ** 2 + a) * cfg.dt
+        m = np.exp(dalpha / cfg.eps)
+        std = np.sqrt(cfg.sigma**2 * (-np.expm1(2.0 * dalpha / cfg.eps)
+                                      / (2.0 * (-dalpha / cfg.dt))))
+        for i in range(3):
+            key = _streams.stream_keys(cfg.seed, [i], (k,))[0]
+            z = _streams.mode_stream(key).standard_normal(cfg.n_steps)
+            psi, expect = 0.2, [0.2]
+            for zn in z:
+                psi = m * psi + std * zn
+                expect.append(psi)
+            assert paths[i].tobytes() == np.array(expect).tobytes()
+
+    @pytest.mark.parametrize("stride", [2, 7, 50])
+    def test_stride_s_is_stride_one_at_s_times_dt(self, stride):
+        spec = TorusSpec(1.0, 4)
+        cfg = make_cfg(spec, sigma=0.3, dt=1e-4, t_end=0.07, seed=9,
+                       record_stride=stride)
+        coarse = make_cfg(spec, sigma=0.3, dt=1e-4 * stride, t_end=0.07,
+                          seed=9)
+        for k in (0, 2):
+            a = simulate_linear_mode(k, -1.0, cfg, n_paths=5, psi0=-0.1)
+            b = simulate_linear_mode(k, -1.0, coarse, n_paths=5, psi0=-0.1)
+            assert a.shape == (5, 700 // stride + 1)
+            assert a.tobytes() == b.tobytes()
+
     def test_variance_bound_envelope(self):
         # sup_t Var(psi_k) <= C0 sigma^2 / <k>^2 with fitted C0 <= 2 L^2/pi^2 + 1
         spec = TorusSpec(1.0, 8)
@@ -468,6 +499,18 @@ class TestNoiseCount:
         simulate_linear_mode(1, -1.0, cfg, n_paths=30)
         assert len(counts) == 30
         assert set(counts.values()) == {cfg.n_steps}
+
+    @pytest.mark.parametrize("stride", [3, 50, 130])
+    def test_one_mode_sampler_draws_once_per_record(self, counts, monkeypatch,
+                                                    stride):
+        # 130 steps: 43, 2 and 1 whole record intervals, in blocks of at
+        # most 20 draws; no draw for the steps after the last record
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 30 * 20)
+        spec = TorusSpec(1.0, 2)
+        cfg = make_cfg(spec, sigma=0.05, t_end=0.065, record_stride=stride)
+        simulate_linear_mode(1, -1.0, cfg, n_paths=30)
+        assert len(counts) == 30
+        assert set(counts.values()) == {cfg.n_steps // stride}
 
     def test_stopped_rows_draw_nothing_after_their_block(self, counts,
                                                          monkeypatch):
