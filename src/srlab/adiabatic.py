@@ -161,11 +161,11 @@ def build_frame(model: DriftModel, eps: float, T0: float,
     lower unstable root at +T0.  The grid step defaults to eps/10 and must
     not exceed eps/4.  Every column is read-only.
     """
+    if not eps > 0:
+        raise ValueError("eps: must be > 0")
     grid_step = eps / 10 if grid_step is None else grid_step
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if grid_step > eps / 4 + 1e-15:
-        raise ValueError(f"grid_step={grid_step} must be <= eps/4={eps / 4}")
+    if not 0 < grid_step <= eps / 4:
+        raise ValueError(f"grid_step: must lie in (0, eps/4 = {eps / 4}]")
     n_steps = int(round(2.0 * T0 / grid_step))
     if n_steps < 2:
         raise ValueError("grid_step too coarse for the interval")

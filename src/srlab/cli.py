@@ -8,8 +8,8 @@ digests; re-running with the same config reproduces every CSV bitwise
 (worker count never affects results; SRLAB_WORKERS bounds the worker
 processes, and 1 runs every batch in-process).
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 bracket or
-fit failure.
+Exit codes: 0 success, 1 config error (a run too large for memory is one),
+2 numerical failure, 3 bracket or fit failure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from ._streams import derive_seed
 from .adiabatic import FRAME_COLUMNS, StiffnessFailure, build_frame
-from .config import (ConfigError, RunConfig, parse_config, serialize_config,
-                     sim_window)
+from .config import (ConfigError, RunConfig, _parameter_errors, parse_config,
+                     serialize_config, sim_config)
 from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
                          NonFinite, SimConfig, simulate_batch, step_grid)
 from .mc import (BracketNotFound, DegeneratePoints, event_probability,
@@ -40,7 +40,7 @@ from .mc import (BracketNotFound, DegeneratePoints, event_probability,
                  transition_study)
 from .model import (DriftModel, RootBracketExhausted, allen_cahn,
                     equilibrium_branches, linear_drift, normal_form)
-from .spectral import SpectralField, TorusSpec
+from .spectral import SpectralField
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -131,30 +131,6 @@ def build_model(cfg: RunConfig, delta: Optional[float] = None) -> DriftModel:
         raise ConfigError(f"[model] {m.kind}: {exc}") from None
 
 
-def _torus(cfg: RunConfig) -> TorusSpec:
-    return TorusSpec(L=cfg.torus.L, K=cfg.torus.K, n_grid=cfg.torus.n_grid)
-
-
-def _step_grid(cfg: RunConfig, t_start: float, t_end: float):
-    """``integrator.step_grid`` of [sim] epsilon and dt on [t_start, t_end]."""
-    try:
-        return step_grid(cfg.sim.epsilon, t_start, t_end, cfg.sim.dt)
-    except ValueError as exc:
-        raise ConfigError(f"[sim] dt: {exc}") from None
-
-
-def _sim_config(cfg: RunConfig, sigma: Optional[float] = None) -> SimConfig:
-    """The engine setup of a run on the [sim] window, snapped to whole steps;
-    ``sigma`` overrides [sim] sigma."""
-    t_start, t_end = sim_window(cfg)
-    dt, t_end = _step_grid(cfg, t_start, t_end)
-    return SimConfig(eps=cfg.sim.epsilon,
-                     sigma=cfg.sim.sigma if sigma is None else sigma, dt=dt,
-                     spec=_torus(cfg), t_start=t_start, t_end=t_end,
-                     s_monitor=cfg.sim.s_monitor, seed=cfg.sim.seed,
-                     record_stride=cfg.sim.record_stride)
-
-
 def _needs_frame(cfg: RunConfig, exits: ExitSpec) -> bool:
     return exits.h is not None or cfg.sim.init == "adiabatic"
 
@@ -194,14 +170,14 @@ def _field_setup(cfg: RunConfig, delta: Optional[float], exits: ExitSpec):
     """(model, sim, frame, init) of a field run at ``delta`` that monitors
     ``exits``; the frame is None when nothing needs it."""
     model = build_model(cfg, delta)
-    sim = _sim_config(cfg)
+    sim = sim_config(cfg)
     frame = _build_frame(cfg, model, sim) if _needs_frame(cfg, exits) else None
     return model, sim, frame, _init_field(cfg, model, sim, frame)
 
 
 def cmd_branches(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     model = build_model(cfg)
-    sim = _sim_config(cfg)
+    sim = sim_config(cfg)
     ts = np.linspace(sim.t_start, sim.t_end, cfg.adiabatic.t_points)
     rows = []
     for t in ts:
@@ -317,7 +293,8 @@ def _transition_setup(cfg: RunConfig, delta: float):
         raise ConfigError("[exits] d_level, d0_level: transition runs need "
                           "both levels or neither")
     T0 = max(cfg.adiabatic.t0, 2.5 * np.sqrt(max(delta, cfg.sim.epsilon)))
-    _step_grid(cfg, -T0, T0)    # transition_study's grid, checked for [sim] dt
+    with _parameter_errors():   # transition_study's grid, checked for [sim] dt
+        step_grid(cfg.sim.epsilon, -T0, T0, cfg.sim.dt)
     kwargs = {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
               "dt": cfg.sim.dt, "T0": T0}
     levels = (None if exits.d_level is None else
@@ -465,21 +442,9 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
 def cmd_variance_check(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     if cfg.model.kind != "linear":
         raise ConfigError("[model] kind: variance-check needs the linear model")
-    if not cfg.model.a < 0:
-        raise ConfigError("[model] a: variance-check needs every mode to "
-                          "contract, and mode 0 does only when a < 0")
-    if not 0 < cfg.sim.sigma * cfg.sim.sigma < math.inf:
-        raise ConfigError("[sim] sigma: variance-check scales variances by "
-                          "1/sigma**2, so sigma**2 must be positive and finite")
-    if cfg.mc.n < 2:
-        raise ConfigError("[mc] n: variance-check estimates sample variances, "
-                          "so it needs n >= 2 paths")
-    sim = _sim_config(cfg)
-    if sim.record_stride > sim.n_steps:
-        raise ConfigError(f"[sim] record_stride: {sim.record_stride} exceeds "
-                          f"the window's {sim.n_steps} steps, so only t_start "
-                          "would be recorded")
-    rows, c0 = mode_variance_report(sim, cfg.mc.n, cfg.mc.k_max, a=cfg.model.a)
+    with _parameter_errors():
+        rows, c0 = mode_variance_report(sim_config(cfg), cfg.mc.n,
+                                        cfg.mc.k_max, a=cfg.model.a)
     path = out_dir / "variance.csv"
     _write_csv(path, ["k", "mu_k", "var_final", "se_final", "var_sup",
                       "exact_var", "ratio_sup", "bound", "c0_fit"],
@@ -534,6 +499,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](cfg, out_dir, args.resume)
     except ConfigError as exc:
         print(f"srlab: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"srlab: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonFinite, StiffnessFailure) as exc:
         print(f"srlab: numerical failure: {exc}", file=sys.stderr)

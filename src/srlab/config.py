@@ -2,8 +2,9 @@
 
 Sections mirror the module split (torus, model, sim, exits, adiabatic, mc,
 sweep, threshold); the [exits] section is the engine's ``ExitSpec``, so its
-own checks decide what a valid [exits] is, as ``TorusSpec``'s do for [torus],
-and [model] kind and [mc] event are values of ``model.DriftKind`` and
+own checks decide what a valid [exits] is, as ``TorusSpec``'s, ``step_grid``'s
+and ``SimConfig``'s do for [torus] and [sim] through ``sim_config``, and
+[model] kind and [mc] event are values of ``model.DriftKind`` and
 ``integrator.ExitEvent``.  Parsing is strict: unknown sections or keys and
 malformed values raise ConfigError with the offending section/field named.
 The serialised form emits every field, so parse -> serialize -> parse is the
@@ -13,22 +14,46 @@ identity on configurations.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_origin
 
-from .integrator import ExitEvent, ExitSpec
+from .integrator import ExitEvent, ExitSpec, SimConfig, step_grid
 from .model import DriftKind
 from .spectral import TorusSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text",
-           "serialize_config", "sim_window"]
+           "serialize_config", "sim_config"]
 
 
 class ConfigError(ValueError):
     pass
+
+
+# The [section] key of each parameter that a ValueError of TorusSpec,
+# step_grid, SimConfig or mc.mode_variance_report starts with.
+_CONFIG_KEY = {"L": "[torus] L", "K": "[torus] K", "n_grid": "[torus] n_grid",
+               "eps": "[sim] epsilon", "sigma": "[sim] sigma",
+               "dt": "[sim] dt", "t_end": "[sim] t_end",
+               "s_monitor": "[sim] s_monitor",
+               "record_stride": "[sim] record_stride", "n": "[mc] n",
+               "a": "[model] a"}
+
+
+@contextlib.contextmanager
+def _parameter_errors():
+    """Re-raise a ValueError that starts with a parameter of _CONFIG_KEY as
+    the ConfigError of its [section] key; any other passes unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(": ")
+        if name not in _CONFIG_KEY:
+            raise
+        raise ConfigError(f"{_CONFIG_KEY[name]}: {rest}") from None
 
 
 @dataclass
@@ -158,13 +183,21 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return cfg
 
 
-def sim_window(cfg: RunConfig) -> tuple[float, float]:
-    """[sim] t_start and t_end, by default the normal form's window [-t0, t0]
-    and [0, 1] for the other drifts."""
+def sim_config(cfg: RunConfig) -> SimConfig:
+    """The engine setup of a run from [torus] and [sim], its window snapped
+    to whole steps (``step_grid``).  The window defaults to the normal
+    form's [-t0, t0] and to [0, 1] for the other drifts.  TorusSpec,
+    step_grid and SimConfig own the rules; ConfigError names the key."""
     s, t0 = cfg.sim, cfg.adiabatic.t0
     lo, hi = (-t0, t0) if cfg.model.kind == "normal-form" else (0.0, 1.0)
-    return (lo if s.t_start is None else s.t_start,
-            hi if s.t_end is None else s.t_end)
+    t_start = lo if s.t_start is None else s.t_start
+    with _parameter_errors():
+        spec = TorusSpec(cfg.torus.L, cfg.torus.K, cfg.torus.n_grid)
+        dt, t_end = step_grid(s.epsilon, t_start,
+                              hi if s.t_end is None else s.t_end, s.dt)
+        return SimConfig(eps=s.epsilon, sigma=s.sigma, dt=dt, spec=spec,
+                         t_start=t_start, t_end=t_end, s_monitor=s.s_monitor,
+                         seed=s.seed, record_stride=s.record_stride)
 
 
 def _validate(cfg: RunConfig):
@@ -187,28 +220,15 @@ def _validate(cfg: RunConfig):
                           ("[threshold] delta_values", cfg.threshold.delta_values)):
         if cfg.model.kind == "normal-form" and min(deltas, default=0) < 0:
             raise ConfigError(f"{where}: branch gaps must be >= 0")
-    try:
-        TorusSpec(cfg.torus.L, cfg.torus.K, cfg.torus.n_grid)
-    except ValueError as exc:
-        raise ConfigError(f"[torus] {exc}") from None
-    if cfg.sim.epsilon <= 0:
-        raise ConfigError("[sim] epsilon: must be > 0")
-    if min((cfg.sim.sigma,) + cfg.sweep.sigma_values) < 0:
-        raise ConfigError("[sim] sigma, [sweep] sigma_values: must be >= 0")
+    sim_config(cfg)   # the rules of TorusSpec, step_grid and SimConfig
+    if min(cfg.sweep.sigma_values, default=0.0) < 0:
+        raise ConfigError("[sweep] sigma_values: must be >= 0")
     if cfg.sim.seed < 0:
         raise ConfigError("[sim] seed: must be >= 0")
-    t_start, t_end = sim_window(cfg)
-    if t_end <= t_start:
-        raise ConfigError(f"[sim] t_end: must exceed t_start = {t_start}")
-    if cfg.sim.dt is not None and not 0.0 < cfg.sim.dt <= cfg.sim.epsilon:
-        raise ConfigError("[sim] dt: must satisfy 0 < dt <= epsilon")
-    if cfg.sim.record_stride < 1:
-        raise ConfigError("[sim] record_stride: must be >= 1")
+    # build_frame's rule, checked here because only some commands build one
     step = cfg.adiabatic.grid_step
     if step is not None and not 0.0 < step <= cfg.sim.epsilon / 4:
         raise ConfigError("[adiabatic] grid_step: must satisfy 0 < grid_step <= epsilon/4")
-    if not 0.0 < cfg.sim.s_monitor < 0.5:
-        raise ConfigError("[sim] s_monitor: must lie in (0, 1/2)")
     if cfg.adiabatic.branch not in ("upper", "lower"):
         raise ConfigError(f"[adiabatic] branch: must be upper or lower, "
                           f"got {cfg.adiabatic.branch!r}")

@@ -16,7 +16,7 @@ per-mode factors are computed once per run by ``_step_factors``.  Noise is
 space-time white truncated to the resolved modes: independent Wiener processes
 drive every mode, one normal draw per mode per step from the trajectory's
 dedicated counter-based stream, read through ``_streams.BlockNormals``.
-``step_grid`` is the one place that sets a run's step (dt = eps /
+``step_grid`` is the one place that sets and checks a run's step (dt = eps /
 STEPS_PER_EPS when left unset) and snaps its window to whole steps.
 
 Exit sets are monitored online after every step; crossing times are resolved
@@ -67,19 +67,27 @@ __all__ = [
 
 # The default time step is eps / STEPS_PER_EPS wherever a run leaves dt unset.
 STEPS_PER_EPS = 20
+# the most float64 values one numpy array holds (intp.max bytes)
+MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 
 def step_grid(eps: float, t_start: float, t_end: float,
               dt: Optional[float] = None) -> tuple[float, float]:
     """(dt, t_end) of a run on [t_start, t_end]: dt defaults to
     eps / STEPS_PER_EPS, and t_end moves to t_start + n dt for the nearest
-    whole number of steps n >= 1.  ValueError when numpy cannot index n."""
+    whole number of steps n >= 1.  It owns the step's rules, which SimConfig
+    checks through it; each ValueError starts with the parameter it names."""
+    if not eps > 0:
+        raise ValueError("eps: must be > 0")
     dt = eps / STEPS_PER_EPS if dt is None else dt
+    if not 0 < dt <= eps:
+        raise ValueError("dt: must satisfy 0 < dt <= eps")
+    if not t_start < t_end:
+        raise ValueError(f"t_end: must exceed t_start = {t_start}")
     steps = (t_end - t_start) / dt
-    # SimConfig.times() holds every step time in one numpy array
-    if not steps < np.iinfo(np.intp).max:
-        raise ValueError(f"dt = {dt:g} cuts [{t_start:g}, {t_end:g}] into "
-                         f"{steps:.3g} steps, more than a numpy array can index")
+    if not steps < MAX_FLOAT64S:   # SimConfig.times() holds n + 1 of them
+        raise ValueError(f"dt: {dt:g} cuts [{t_start:g}, {t_end:g}] into "
+                         f"{steps:.3g} steps, more times than an array holds")
     n = max(1, int(round(steps)))
     return dt, t_start + n * dt
 
@@ -114,7 +122,8 @@ class NonFinite(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration setup for one family of trajectories."""
+    """Integration setup for one family of trajectories; ``step_grid`` checks
+    its step and window, and each ValueError starts with its parameter."""
 
     eps: float
     sigma: float
@@ -128,21 +137,17 @@ class SimConfig:
     record_fields: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        step_grid(self.eps, self.t_start, self.t_end, self.dt)
         if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not 0 < self.dt <= self.eps + 1e-15:
-            raise ValueError("need 0 < dt <= eps (at least one step per fast unit)")
-        if self.t_start >= self.t_end:
-            raise ValueError("t_start must be < t_end")
+            raise ValueError("sigma: must be >= 0")
         if not 0.0 < self.s_monitor < 0.5:
-            raise ValueError("s_monitor must lie in (0, 1/2)")
+            raise ValueError("s_monitor: must lie in (0, 1/2)")
         if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+            raise ValueError("record_stride: must be >= 1")
         n = (self.t_end - self.t_start) / self.dt
         if abs(n - round(n)) > 1e-6:
-            raise ValueError("(t_end - t_start) must be an integer multiple of dt")
+            raise ValueError("t_end: t_end - t_start must be a whole number "
+                             "of steps dt")
 
     @property
     def n_steps(self) -> int:
@@ -412,9 +417,10 @@ def simulate_linear_mode(k: int, a: float, cfg: SimConfig,
     places the record times.  Returns paths sampled at the record times,
     shape (n_paths, n_rec).
     """
-    abar = -(k * np.pi / cfg.spec.L) ** 2 + float(a)
-    if abar >= 0:
-        raise ValueError(f"mode {k} is not contracting")
+    mu_k = (k * np.pi / cfg.spec.L) ** 2
+    abar = -mu_k + float(a)
+    if not abar < 0:
+        raise ValueError(f"a: mode {k} contracts only when a < {mu_k:g}")
     h = cfg.dt * cfg.record_stride
     dalpha = abar * h
     m = np.exp(dalpha / cfg.eps)

@@ -30,9 +30,9 @@ import numpy as np
 from . import _streams
 from .adiabatic import AdiabaticFrame
 from .config import ConfigError
-from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
-                         SimConfig, simulate_batch, simulate_linear_mode,
-                         step_grid)
+from .integrator import (EVENT_FIELD, MAX_FLOAT64S, TAU_COLUMN, ExitEvent,
+                         ExitSpec, SimConfig, simulate_batch,
+                         simulate_linear_mode, step_grid)
 from .model import (ROOT_BRACKET, DriftModel, equilibrium_branches,
                     normal_form)
 from .spectral import SpectralField, TorusSpec
@@ -452,9 +452,22 @@ def mode_variance_report(cfg: SimConfig, n: int, k_max: int, a: float = -1.0):
     the final recorded time), its standard error, the sup over recorded
     times, and the exact Ornstein-Uhlenbeck value;
     c0_fit = max_k sup-variance * <k>^2 / sigma^2.
+
+    Each ValueError of its rules starts with the parameter it names; a < 0
+    is ``simulate_linear_mode``'s check at k = 0, made before any draw.
     """
     if n < 2:
-        raise ValueError("need n >= 2 paths")
+        raise ValueError("n: a sample variance needs n >= 2 paths")
+    if not 0 < cfg.sigma * cfg.sigma < np.inf:
+        raise ValueError("sigma: sigma**2 must be positive and finite")
+    if cfg.record_stride > cfg.n_steps:
+        raise ValueError(f"record_stride: {cfg.record_stride} exceeds the "
+                         f"window's {cfg.n_steps} steps, so only t_start "
+                         "would be recorded")
+    n_rec = cfg.n_steps // cfg.record_stride + 1
+    if n * n_rec > MAX_FLOAT64S:
+        raise ValueError(f"n: {n} paths of {n_rec} record times are more "
+                         "float64 values than a numpy array can hold")
     a = float(a)
     rows = []
     c0 = 0.0

@@ -173,20 +173,10 @@ class SpectralField:
         """Field identically equal to ``value`` (coefficient value*sqrt(L) at k=0)."""
         return cls.basis(spec, 0, value * np.sqrt(spec.L))
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.spec != self.spec:
-            raise ValueError("field specs differ")
-        return SpectralField(self.spec, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if other.spec != self.spec:
             raise ValueError("field specs differ")
         return SpectralField(self.spec, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.spec, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def hs_weights(spec: TorusSpec, s: float) -> np.ndarray:

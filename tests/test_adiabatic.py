@@ -59,6 +59,11 @@ class TestTrackStable:
         with pytest.raises(ValueError):
             build_frame(normal_form(0.04), eps=1e-3, T0=0.2, grid_step=1e-3)
 
+    @pytest.mark.parametrize("grid_step", [0.0, -1e-4, 1e-3])
+    def test_grid_step_outside_range_names_grid_step(self, grid_step):
+        with pytest.raises(ValueError, match="^grid_step: "):
+            build_frame(normal_form(0.04), eps=1e-3, T0=0.2, grid_step=grid_step)
+
     def test_abar_negative_everywhere(self):
         fr = build_frame(normal_form(0.04), 1e-3, T0=0.2)
         assert np.max(fr.abar) < 0.0

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srlab.mc as mc
+from srlab._streams import derive_seed
 from srlab.cli import _COMMANDS, Manifest, main
 from srlab.config import (ConfigError, RunConfig, parse_config_text,
                           serialize_config)
@@ -92,6 +93,12 @@ SMALL.threshold.n = 8
 # the same on the linear model, the one variance-check runs
 SMALL_LINEAR = dataclasses.replace(
     SMALL, model=dataclasses.replace(SMALL.model, kind="linear"))
+# the linear model on [0, 0.3] at epsilon = 0.01, cut into 0.3 / dt steps
+def linear_window(dt, n=8):
+    return config_text({("sim", "epsilon"): "0.01", ("sim", "t_end"): "0.3",
+                        ("sim", "dt"): dt, ("mc", "n"): n}, SMALL_LINEAR)
+
+
 # the keys variance-check reads
 VARIANCE_CHECK_KEYS = [("torus", "L"), ("torus", "K"), ("torus", "n_grid"),
                        ("model", "a"), ("sim", "epsilon"), ("sim", "sigma"),
@@ -328,6 +335,11 @@ class TestExitCodes:
         # mode 0 does not contract
         ("variance-check", config_text({("model", "a"): "0"}, SMALL_LINEAR),
          [], "[model] a"),
+        # 3e18 step times: more float64 bytes than a numpy array can hold
+        ("simulate", linear_window("1e-19"), [], "[sim] dt"),
+        ("variance-check", linear_window("1e-19"), [], "[sim] dt"),
+        # 3e17 step times fit in one array, but 8 paths of them do not
+        ("variance-check", linear_window("1e-18"), [], "[mc] n"),
     ], ids=["seed", "seed-override", "L", "n_grid", "L-eigenvalue-overflow",
             "mc-n", "threshold-n", "epsilon-inf", "sigma-values-negative",
             "exit-radius", "exit-levels",
@@ -337,12 +349,25 @@ class TestExitCodes:
             "simulate-dt-tiny", "sweep-dt-tiny", "threshold-dt-tiny",
             "a1-zero", "amplitude-negative", "variance-check-n-one",
             "variance-check-sigma-square-underflows",
-            "variance-check-sigma-square-overflows", "variance-check-a-zero"])
+            "variance-check-sigma-square-overflows", "variance-check-a-zero",
+            "simulate-dt-times-past-array", "variance-check-dt-times-past-array",
+            "variance-check-paths-past-array"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
         assert main([command, "--config", path, "--out", str(tmp_path)] + args) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,n", [("simulate", 8),
+                                           ("variance-check", 2)])
+    def test_run_past_memory_is_1_in_one_line(self, tmp_path, capsys, command,
+                                              n):
+        # 3e17 steps pass every bound, and their 2.4e18 bytes of step times
+        # (of paths, for variance-check) exceed any address space
+        path = write_cfg(tmp_path, linear_window("1e-18", n))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("srlab: out of memory:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command,text,field", [
         ("simulate", BASE.replace("sigma = 0.05", "sigma = nan"), "[sim] sigma"),
@@ -822,6 +847,22 @@ tol = 0.005
         assert set(probes) == {"0.01", "0.02", "0.04", "0.08", "0.16"}
         assert all("seed" in p for plist in probes.values() for p in plist)
 
+    def test_unsorted_deltas_keep_config_order_and_seeds(self, tmp_path,
+                                                         monkeypatch):
+        # the i-th listed delta bisects from derive_seed(seed, 1000 + i) in
+        # config order; only mc.scaling_exponent sorts its deltas first
+        logistic_transition(monkeypatch, lambda d, e: 0.9 * max(d, e) ** 0.75)
+        text = BASE + "\n[threshold]\ndelta_values = 0.02, 0.01\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "threshold.csv")
+        assert [float(r[0]) for r in rows] == [0.02, 0.01]
+        man = json.loads((tmp_path / "threshold_manifest.json").read_text())
+        probes = man["extras"]["bisection_probes"]
+        for i, delta in enumerate(["0.02", "0.01"]):
+            seed_d = derive_seed(4242, 1000 + i)
+            assert [p["seed"] for p in probes[delta]] == [
+                derive_seed(seed_d, j) for j in range(len(probes[delta]))]
 
     def test_uses_configured_model_and_levels(self, tmp_path):
         # each probe is the transition_probability of the configured normal

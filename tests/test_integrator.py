@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from srlab import _streams, cli, integrator
+from srlab import _streams, integrator
 from srlab.adiabatic import deterministic_pde_track
-from srlab.config import parse_config_text
+from srlab.config import parse_config_text, sim_config
 from srlab.integrator import (ExitSpec, SimConfig, _step_factors, simulate_batch,
                               simulate_linear_mode)
 from srlab.mc import transition_study
@@ -90,6 +90,21 @@ class TestStepGrid:
         # a window shorter than half a step still runs one step
         assert integrator.step_grid(1e-2, 0.0, 1e-4, dt=1e-3) == (1e-3, 1e-3)
 
+    @pytest.mark.parametrize("args,name", [
+        ((0.0, 0.0, 1.0), "eps"),
+        ((1e-2, 0.0, 1.0, 0.0), "dt"),
+        ((1e-2, 0.0, 1.0, 2e-2), "dt"),
+        ((1e-2, 1.0, 1.0), "t_end"),
+        # 3e18 float64 step times are more bytes than intp.max
+        ((1e-2, 0.0, 0.3, 1e-19), "dt"),
+    ], ids=["eps-zero", "dt-zero", "dt-above-eps", "empty-window",
+            "times-past-array"])
+    def test_each_rule_names_its_parameter(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            integrator.step_grid(*args)
+        # 3e17 step times are within the bound; nothing is allocated here
+        assert integrator.step_grid(1e-2, 0.0, 0.3, 1e-18)[0] == 1e-18
+
     def test_every_default_step_follows_steps_per_eps(self, monkeypatch):
         # the CLI, the transition study and the deterministic track all take
         # their default step from integrator.STEPS_PER_EPS
@@ -99,7 +114,7 @@ class TestStepGrid:
         cfg = parse_config_text(f"[torus]\nK = 0\n\n[sim]\nepsilon = {eps}\n")
         times, _ = deterministic_pde_track(linear_drift(-1.0, 0.5), eps,
                                            TorusSpec(1.0, 0), T=0.05)
-        assert study.dt == cli._sim_config(cfg).dt == times[1] == eps / 8
+        assert study.dt == sim_config(cfg).dt == times[1] == eps / 8
 
 
 class TestStep:

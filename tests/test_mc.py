@@ -361,6 +361,22 @@ class TestModeVarianceReport:
         for r in rows:
             assert abs(r["var_final"] - r["exact_var"]) <= 3.0 * r["se_final"]
 
+    @pytest.mark.parametrize("name,kw,n,a", [
+        ("record_stride", {}, 10, -1.0),   # 10**9 > the window's 200 steps
+        ("sigma", dict(sigma=0.0, record_stride=1), 10, -1.0),
+        ("sigma", dict(sigma=1e-300, record_stride=1), 10, -1.0),
+        ("sigma", dict(sigma=1e300, record_stride=1), 10, -1.0),
+        ("n", dict(record_stride=1), 1, -1.0),
+        ("a", dict(record_stride=1), 10, 0.0),
+        # 1e18 steps: two paths of their record times fit in no array
+        ("n", dict(dt=1e-19, record_stride=1), 2, -1.0),
+    ], ids=["stride-past-window", "sigma-zero", "sigma-square-underflows",
+            "sigma-square-overflows", "n-one", "a-zero", "paths-past-array"])
+    def test_rejects_what_it_cannot_report(self, name, kw, n, a):
+        cfg = make_cfg(TorusSpec(1.0, 2), **kw)
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            mode_variance_report(cfg, n=n, k_max=2, a=a)
+
     def test_sigma_scaling_is_exact_pathwise(self):
         # same seed, doubled sigma: every variance scales by exactly 4
         spec = TorusSpec(1.0, 2)
