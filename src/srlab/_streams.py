@@ -19,14 +19,21 @@ stream from its key.  ``mode_stream`` takes the key, not the seed, because it
 is the one per-stream seam: the benchmark's tracer and the noise-count tests
 wrap it to time or count every stream a batch opens.
 
+Philox is counter-based: a stream is fully given by its key, a zero counter
+and an empty buffer.  So ``mode_stream(key, reuse)`` opens a stream by
+re-keying a ``reusable_stream`` Generator, not by making a new one, and the
+re-keyed Generator draws bit for bit what a new one would.
+
 ``BlockNormals`` draws each stream's normals into a (streams, steps) block,
 one size-free ``standard_normal(out=row)`` call per stream, in the fewest
 blocks of about equal length that the caps allow (``_block_steps``).  Steps
 are read from step-major tiles that are copied out of the block a few
 hundred streams at a time, so that each part of the transpose stays in
 cache.  Dropping trajectories only narrows the rows of the block and the
-columns of the tile that are served; their generators leave at the next
-block, so a drop costs no per-stream Python work and no copy.  None of this
+columns of the tile that are served; their streams leave at the next
+block, so a drop costs no per-stream Python work and no copy.  A run that
+fits in one block opens no Generator per stream: it draws every stream from
+one Generator that ``mode_stream`` re-keys before each row.  None of this
 changes a value any stream gives.
 """
 
@@ -161,10 +168,62 @@ def _register_philox_key() -> None:
     ISeedSequence.register(_PhiloxKey)
 
 
-def mode_stream(key) -> np.random.Generator:
-    """Generator for the stream with this Philox key (a ``stream_keys`` row)."""
+def _philox(key):
     _register_philox_key()
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Philox(_PhiloxKey(key))
+
+
+@functools.cache
+def _reusable_type() -> type:
+    """The Generator type that ``mode_stream`` re-keys, made on first use
+    for the same reason as the key type's registration."""
+
+    class ReusableGenerator(np.random.Generator):
+        """A Generator on a Philox that keeps the state dict it is re-keyed
+        with: the start of a stream, a zero counter and an empty buffer,
+        for which only the key changes."""
+
+        __slots__ = ("start",)
+
+        def __init__(self, key):
+            super().__init__(_philox(key))
+            zeros = (0, 0, 0, 0)
+            self.start = {"bit_generator": "Philox",
+                          "state": {"counter": zeros, "key": key},
+                          "buffer": zeros, "buffer_pos": 4,
+                          "has_uint32": 0, "uinteger": 0}
+
+    return ReusableGenerator
+
+
+def reusable_stream(key):
+    """A Generator for the stream with this key that ``mode_stream`` can
+    re-key to any other stream."""
+    return _reusable_type()(key)
+
+
+def mode_stream(key, reuse=None) -> np.random.Generator:
+    """Generator for the stream with this Philox key (a ``stream_keys`` row).
+
+    Given ``reuse``, a ``reusable_stream``, re-key its Philox to the start
+    of this stream and return it: it then draws what a new Generator
+    would, whatever it drew before.
+    """
+    if reuse is None:
+        return np.random.Generator(_philox(key))
+    start = reuse.start
+    start["state"]["key"] = key
+    reuse.bit_generator.state = start
+    return reuse
+
+
+def _rekeyed(keys):
+    """``mode_stream`` of each of the (n, 2) ``keys`` in turn, all one
+    re-keyed Generator, so each stream is drawn before the next is served."""
+    if len(keys):
+        reuse = reusable_stream(keys[0])
+        for key in keys.tolist():
+            yield mode_stream(key, reuse)
 
 
 def derive_seed(master_seed: int, tag: int) -> int:
@@ -209,22 +268,31 @@ class BlockNormals:
     tile of up to TILE_STEPS steps, assembled TILE_STREAMS streams at a time
     so that the transpose stays in cache.  ``keep`` only narrows the rows
     the block serves and the columns the tile serves; the dropped streams
-    leave the generator list at the next block and the tile at the next
+    leave the stream list at the next block and the tile at the next
     tile.  A stream's values depend on its key alone, so neither the block
     length nor dropping other trajectories changes what a kept trajectory
     sees.
+
+    A run of more than one block keeps a Generator per stream, which
+    carries its counter and buffer from one block to the next.  A run that
+    fits in one block keeps only the keys: its one block draws each stream
+    whole from a single Generator that ``mode_stream`` re-keys before each
+    row.  Both paths open every stream through ``mode_stream``.
     """
 
     def __init__(self, master_seed: int, traj_indices, wavenumbers,
                  n_steps: int, kind: int = KIND_FIELD):
-        self._gens = [mode_stream(key) for key in
-                      stream_keys(master_seed, traj_indices, wavenumbers, kind)]
+        keys = stream_keys(master_seed, traj_indices, wavenumbers, kind)
         self._n_modes = len(wavenumbers)
         self._n_steps = n_steps
-        self._block = _block_steps(n_steps, len(self._gens))
+        self._block = _block_steps(n_steps, len(keys))
+        self._one_block = self._block >= n_steps
+        # the keys of a one-block run; else a Generator per stream
+        self._streams = (keys if self._one_block
+                         else [mode_stream(key) for key in keys])
         self._store = np.empty(0)
         self._raw = None      # (streams, steps) of the current block
-        self._rows = None     # rows of _gens and _raw still served; None for all
+        self._rows = None     # rows of _streams and _raw still served; None for all
         self._lo = self._hi = 0
         self._tile = None     # (steps, streams) for steps tlo..thi-1
         self._cols = None     # columns of _tile still served; None for all
@@ -261,14 +329,18 @@ class BlockNormals:
         self._cols = idx if self._cols is None else self._cols[idx]
 
     def _refill(self, n: int) -> None:
-        if self._rows is not None:
-            self._gens = [self._gens[i] for i in self._rows]
+        streams, rows = self._streams, self._rows
+        if rows is not None:
+            streams = self._streams = (streams[rows] if self._one_block
+                                       else [streams[i] for i in rows])
         size = min(self._block, self._n_steps - n)
-        count = len(self._gens) * size
+        count = len(streams) * size
         if self._store.size < count:
             self._store = np.empty(count)
-        raw = self._store[:count].reshape(len(self._gens), size)
-        for g, row in zip(self._gens, raw):
+        raw = self._store[:count].reshape(len(streams), size)
+        if self._one_block:
+            streams = _rekeyed(streams)
+        for g, row in zip(streams, raw):
             g.standard_normal(out=row)
         self._raw, self._rows = raw, None
         self._lo, self._hi = n, n + size

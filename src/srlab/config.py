@@ -39,8 +39,8 @@ _CONFIG_KEY = {"L": "[torus] L", "K": "[torus] K", "n_grid": "[torus] n_grid",
                "eps": "[sim] epsilon", "sigma": "[sim] sigma",
                "dt": "[sim] dt", "t_end": "[sim] t_end",
                "s_monitor": "[sim] s_monitor",
-               "record_stride": "[sim] record_stride", "n": "[mc] n",
-               "a": "[model] a"}
+               "record_stride": "[sim] record_stride", "seed": "[sim] seed",
+               "n": "[mc] n", "a": "[model] a"}
 
 
 @contextlib.contextmanager
@@ -223,8 +223,6 @@ def _validate(cfg: RunConfig):
     sim_config(cfg)   # the rules of TorusSpec, step_grid and SimConfig
     if min(cfg.sweep.sigma_values, default=0.0) < 0:
         raise ConfigError("[sweep] sigma_values: must be >= 0")
-    if cfg.sim.seed < 0:
-        raise ConfigError("[sim] seed: must be >= 0")
     # build_frame's rule, checked here because only some commands build one
     step = cfg.adiabatic.grid_step
     if step is not None and not 0.0 < step <= cfg.sim.epsilon / 4:

@@ -140,6 +140,8 @@ class SimConfig:
         step_grid(self.eps, self.t_start, self.t_end, self.dt)
         if self.sigma < 0:
             raise ValueError("sigma: must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
         if not 0.0 < self.s_monitor < 0.5:
             raise ValueError("s_monitor: must lie in (0, 1/2)")
         if self.record_stride < 1:

@@ -490,8 +490,9 @@ class TestNoiseCount:
             keys = _streams.stream_keys(seed, range(30), range(-2, 3))
             stream_of.update(zip(map(tuple, keys), names))
 
-        def counted(key):
-            return _CountedStream(make(key), drawn, stream_of[tuple(key)])
+        def counted(key, *args):
+            return _CountedStream(make(key, *args), drawn,
+                                  stream_of[tuple(key)])
 
         monkeypatch.setattr(_streams, "mode_stream", counted)
         return drawn

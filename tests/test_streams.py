@@ -72,21 +72,25 @@ def test_blocks_are_the_fewest_the_caps_allow_and_even(n_steps, n_streams):
     assert n_steps - (n_blocks - 1) * block > block - n_blocks
 
 
-@pytest.mark.parametrize("n_traj,modes", [(1, (0,)), (255, (0,)), (256, (0,)),
-                                          (257, (0,)), (200, (-1, 0, 3))],
-                         ids=["1", "255", "256", "257", "600"])
-def test_block_normals_serve_each_streams_own_normals(n_traj, modes,
-                                                      monkeypatch):
-    # blocks of at most 40 steps: 150 steps run as 38, 38, 38 and 36
-    n_steps, n_modes = 150, len(modes)
-    monkeypatch.setattr(_streams, "BLOCK_NORMALS", 40 * n_traj * n_modes)
+@pytest.mark.parametrize("n_traj,modes,n_steps,blocks", [
+    (1, (0,), 150, 4), (255, (0,), 150, 4), (256, (0,), 150, 4),
+    (257, (0,), 150, 4), (200, (-1, 0, 3), 150, 4),
+    (300, (0,), 150, 1), (200, (-1, 0, 3), 100, 1)],
+    ids=["1", "255", "256", "257", "600", "300-one-block", "600-one-block"])
+def test_block_normals_serve_each_streams_own_normals(n_traj, modes, n_steps,
+                                                      blocks, monkeypatch):
+    n_modes = len(modes)
+    if blocks > 1:
+        # blocks of at most 40 steps: 150 steps run as 38, 38, 38 and 36
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 40 * n_traj * n_modes)
     block = _streams._block_steps(n_steps, n_traj * n_modes)
-    assert n_steps % block and n_steps > 3 * block
+    assert -(-n_steps // block) == blocks
+    assert blocks == 1 or n_steps % block
     keys = stream_keys(11, range(n_traj), modes)
     direct = np.array([mode_stream(key).standard_normal(n_steps)
                        for key in keys])
     # keep after a step mid-tile, on a tile edge, just before a refill, and
-    # on a tile edge and a block edge at once
+    # on a tile edge and a block edge at once (in one block: the first two)
     keep_after = {10, _streams.TILE_STEPS - 1, block - 1, block + 5,
                   2 * block - 1}
     rng = np.random.default_rng(n_traj)
@@ -100,3 +104,67 @@ def test_block_normals_serve_each_streams_own_normals(n_traj, modes,
             mask[0] = True   # a single trajectory stays
             noise.keep(mask)
             kept = kept[mask]
+
+
+@pytest.fixture
+def philox_made(monkeypatch):
+    """The number of np.random.Philox objects made while a test runs."""
+    made = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        made.append(None)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    return made
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_only_a_run_of_several_blocks_makes_a_philox_per_stream(
+        blocks, philox_made, monkeypatch):
+    # 10 trajectories of 3 modes for 40 steps: one block, or three of at
+    # most 16 steps
+    if blocks > 1:
+        monkeypatch.setattr(_streams, "BLOCK_NORMALS", 30 * 16)
+    noise = BlockNormals(5, range(10), (-1, 0, 2), 40)
+    assert -(-40 // _streams._block_steps(40, 30)) == blocks
+    for n in range(40):
+        noise.draw(n)
+    assert len(philox_made) == (1 if blocks == 1 else 30)
+
+
+@pytest.mark.parametrize("n_steps,blocks", [(150, 1), (3000, 3)],
+                         ids=["one-block", "3-blocks"])
+def test_zero_trajectories_serve_empty_steps(n_steps, blocks, philox_made):
+    noise = BlockNormals(11, range(0), (0, 1), n_steps)
+    assert -(-n_steps // _streams._block_steps(n_steps, 0)) == blocks
+    for n in range(n_steps):
+        z = noise.draw(n)
+        assert z.shape == (0,) and z.dtype == np.float64
+        if n == 10:
+            noise.keep(np.zeros(0, dtype=bool))
+    assert not philox_made
+
+
+LENGTHS = [1, 2, 3, 4, 5, 20, 1000]
+
+
+def test_rekeyed_stream_draws_what_a_new_stream_draws():
+    keys = np.concatenate([stream_keys(seed, TRAJ, range(-2, 3), kind)
+                           for seed in SEEDS
+                           for kind in (KIND_FIELD, KIND_ORACLE)])
+    assert len(keys) >= 200
+    reuse = _streams.reusable_stream(keys[-1])
+    for i, key in enumerate(keys):
+        length = LENGTHS[i % len(LENGTHS)]
+        new = mode_stream(key)
+        # one-block runs pass each key as a pair of ints
+        got = mode_stream(key if i % 3 else key.tolist(), reuse)
+        assert got is reuse
+        np.testing.assert_array_equal(got.standard_normal(length),
+                                      new.standard_normal(length))
+        # a float32 normal reads half a 64-bit word, so the next re-key
+        # finds a half-used word as well as a partly used buffer
+        assert (got.standard_normal(dtype=np.float32)
+                == new.standard_normal(dtype=np.float32))
