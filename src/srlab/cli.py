@@ -35,8 +35,8 @@ from .config import (ConfigError, RunConfig, _parameter_errors, parse_config,
                      serialize_config, sim_config)
 from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
                          NonFinite, SimConfig, simulate_batch, step_grid)
-from .mc import (BracketNotFound, DegeneratePoints, event_probability,
-                 fit_line, mode_variance_report, run_batch, threshold_bisect,
+from .mc import (BracketNotFound, DegeneratePoints, _bisect_each, _scaling_fit,
+                 event_probability, mode_variance_report, run_batch,
                  transition_study)
 from .model import (DriftModel, RootBracketExhausted, allen_cahn,
                     equilibrium_branches, linear_drift, normal_form)
@@ -259,7 +259,7 @@ def _sweep_cells(cfg: RunConfig):
         if event is ExitEvent.TRANSITION:
             # a transition run starts at -T0 (transition_study)
             setups[d] = _transition_setup(cfg, d)
-            start = -setups[d][2]["T0"]
+            start = -setups[d][1]["T0"]
         else:
             # every h of the grid needs the frame, or none does
             setups[d] = _field_setup(cfg, d, _cell_exits(cfg, event, hs[0]))
@@ -279,9 +279,9 @@ def _cell_exits(cfg: RunConfig, event: ExitEvent,
 
 
 def _transition_setup(cfg: RunConfig, delta: float):
-    """(model, exits, transition_study keywords) of the avoided-bifurcation
-    run at ``delta``: the configured normal form, and an ExitSpec of the
-    [exits] levels when both are set (None, the study's default levels,
+    """(model, transition_study keywords) of the avoided-bifurcation run at
+    ``delta``: the configured normal form, and as ``exits`` an ExitSpec of
+    the [exits] levels when both are set (None, the study's default levels,
     otherwise).  No transition output reads a radius, so none is monitored."""
     if cfg.model.kind != "normal-form":
         raise ConfigError("[model] kind: transition runs need the normal form")
@@ -295,11 +295,11 @@ def _transition_setup(cfg: RunConfig, delta: float):
     T0 = max(cfg.adiabatic.t0, 2.5 * np.sqrt(max(delta, cfg.sim.epsilon)))
     with _parameter_errors():   # transition_study's grid, checked for [sim] dt
         step_grid(cfg.sim.epsilon, -T0, T0, cfg.sim.dt)
-    kwargs = {"K": cfg.torus.K, "L": cfg.torus.L, "n_grid": cfg.torus.n_grid,
-              "dt": cfg.sim.dt, "T0": T0}
     levels = (None if exits.d_level is None else
               ExitSpec(d_level=exits.d_level, d0_level=exits.d0_level))
-    return build_model(cfg, delta), levels, kwargs
+    return build_model(cfg, delta), {
+        "exits": levels, "K": cfg.torus.K, "L": cfg.torus.L,
+        "n_grid": cfg.torus.n_grid, "dt": cfg.sim.dt, "T0": T0}
 
 
 def _sweep_cell_stats(cfg: RunConfig, setup, delta: float, sigma: float,
@@ -309,9 +309,9 @@ def _sweep_cell_stats(cfg: RunConfig, setup, delta: float, sigma: float,
     event = ExitEvent(cfg.mc.event)
     n = cfg.mc.n
     if event is ExitEvent.TRANSITION:
-        model, exits, kwargs = setup
+        model, kwargs = setup
         batch, sim, _ = transition_study(model, delta, cfg.sim.epsilon,
-                                         sigma, n, exits, seed=seed, **kwargs)
+                                         sigma, n, seed=seed, **kwargs)
     else:
         model, sim, frame, init = setup
         sim = dataclasses.replace(sim, sigma=sigma, seed=seed)
@@ -379,36 +379,25 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
 
 
 def cmd_threshold(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
-    deltas = cfg.threshold.delta_values
-    if not deltas:
+    th, eps = cfg.threshold, cfg.sim.epsilon
+    if not th.delta_values:
         raise ConfigError("[threshold] delta_values: must be non-empty")
-    eps = cfg.sim.epsilon
-    rows, xs, ys = [], [], []
-    probes_extras = {}
-    failures = 0
-    for i, delta in enumerate(deltas):
-        seed_d = derive_seed(cfg.sim.seed, 1000 + i)
-        model, exits, kwargs = _transition_setup(cfg, float(delta))
-        try:
-            sig, st, probes = threshold_bisect(
-                model, float(delta), eps, cfg.threshold.n,
-                tol=cfg.threshold.tol, sigma_lo=cfg.threshold.sigma_lo,
-                sigma_hi=cfg.threshold.sigma_hi, master_seed=seed_d,
-                exits=exits, **kwargs)
-        except BracketNotFound as exc:
-            print(f"srlab threshold: delta={delta}: {exc}", file=sys.stderr)
-            probes = exc.probes
-            rows.append([delta, None, None, None, None, cfg.threshold.n,
-                         len(probes)])
-            failures += 1
+    setups = [(d, *_transition_setup(cfg, d))
+              for d in map(float, th.delta_values)]
+    results = _bisect_each(setups, eps, th.n, th.tol, cfg.sim.seed,
+                           sigma_lo=th.sigma_lo, sigma_hi=th.sigma_hi)
+    rows, fitted, probes_extras = [], [], {}
+    for delta, result in zip(th.delta_values, results):
+        if isinstance(result, BracketNotFound):
+            print(f"srlab threshold: delta={delta}: {result}", file=sys.stderr)
+            probes, cells = result.probes, [None] * 4 + [th.n]
         else:
-            rows.append([delta, sig, st.p_hat, st.ci_low, st.ci_high, st.n,
-                         len(probes)])
-            xs.append(math.log(max(delta, eps)))
-            ys.append(math.log(sig))
+            sig, st, probes = result
+            cells = [sig, st.p_hat, st.ci_low, st.ci_high, st.n]
+            fitted.append((delta, sig))
+        rows.append([delta, *cells, len(probes)])
         probes_extras[str(delta)] = [
-            {"sigma": s_, "seed": sd, "p_hat": stt.p_hat}
-            for (s_, sd, stt) in probes]
+            {"sigma": s, "seed": sd, "p_hat": p.p_hat} for s, sd, p in probes]
     path = out_dir / "threshold.csv"
     _write_csv(path, ["delta", "sigma_star", "p_hat", "ci_low", "ci_high",
                       "n", "n_probes"], rows)
@@ -416,27 +405,19 @@ def cmd_threshold(cfg: RunConfig, out_dir: Path, resume: bool) -> int:
     manifest.add_output(path)
     manifest.data["extras"]["bisection_probes"] = probes_extras
 
-    status = EXIT_OK
     fit_rows = []
-    if len(xs) >= 2:
-        fit = fit_line(xs, ys)
-        fit_rows.append(["fit", fit.slope, fit.intercept, fit.r_squared,
-                         None, None])
-        for x, y in fit.points:
-            fit_rows.append(["point", None, None, None, x, y])
-        manifest.data["extras"]["fit"] = {"slope": fit.slope,
-                                          "intercept": fit.intercept,
-                                          "r_squared": fit.r_squared}
-    else:
-        status = EXIT_BRACKET
+    if len(fitted) >= 2:
+        fit = _scaling_fit(eps, fitted)
+        manifest.data["extras"]["fit"] = {
+            k: getattr(fit, k) for k in ("slope", "intercept", "r_squared")}
+        fit_rows = [["fit", fit.slope, fit.intercept, fit.r_squared, None, None]]
+        fit_rows += [["point", None, None, None, x, y] for x, y in fit.points]
     fit_path = out_dir / "threshold_fit.csv"
     _write_csv(fit_path, ["kind", "slope", "intercept", "r_squared",
                           "log_delta", "log_sigma_star"], fit_rows)
     manifest.add_output(fit_path)
     manifest.write(out_dir / "threshold_manifest.json")
-    if failures == len(deltas):
-        status = EXIT_BRACKET
-    return status
+    return EXIT_OK if fit_rows else EXIT_BRACKET
 
 
 def cmd_variance_check(cfg: RunConfig, out_dir: Path, resume: bool) -> int:

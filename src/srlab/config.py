@@ -220,6 +220,9 @@ def _validate(cfg: RunConfig):
                           ("[threshold] delta_values", cfg.threshold.delta_values)):
         if cfg.model.kind == "normal-form" and min(deltas, default=0) < 0:
             raise ConfigError(f"{where}: branch gaps must be >= 0")
+    if len(set(cfg.threshold.delta_values)) < len(cfg.threshold.delta_values):
+        raise ConfigError("[threshold] delta_values: a delta is listed twice, "
+                          "but the manifest keys probes by delta")
     sim_config(cfg)   # the rules of TorusSpec, step_grid and SimConfig
     if min(cfg.sweep.sigma_values, default=0.0) < 0:
         raise ConfigError("[sweep] sigma_values: must be >= 0")

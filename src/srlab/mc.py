@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import atexit
 import functools
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -387,14 +388,10 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
     lo = sigma_lo if sigma_lo is not None else 0.4 * sc
     hi = sigma_hi if sigma_hi is not None else 2.5 * sc
 
-    p_lo = evaluate(lo)
-    while p_lo.p_hat >= 0.25 and len(probes) < MAX_PROBES:
+    while (p_lo := evaluate(lo)).p_hat >= 0.25 and len(probes) < MAX_PROBES:
         lo /= 2.0
-        p_lo = evaluate(lo)
-    p_hi = evaluate(hi)
-    while p_hi.p_hat <= 0.75 and len(probes) < MAX_PROBES:
+    while (p_hi := evaluate(hi)).p_hat <= 0.75 and len(probes) < MAX_PROBES:
         hi *= 2.0
-        p_hi = evaluate(hi)
     if p_lo.p_hat >= 0.25 or p_hi.p_hat <= 0.75:
         raise BracketNotFound(
             f"no bracket found for delta={delta}: p({lo:.4g})={p_lo.p_hat:.3f}, "
@@ -406,14 +403,29 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
         st = evaluate(mid)
         if st.ci_low <= 0.5 <= st.ci_high:
             return mid, st, probes
-        if st.p_hat < 0.5:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if st.p_hat < 0.5 else (lo, mid)
     mid = float(np.sqrt(lo * hi))
     if st is None or probes[-1][0] != mid:
         st = evaluate(mid)
     return mid, st, probes
+
+
+def _bisect_each(setups, eps, n, tol, master_seed, **kwargs):
+    """threshold_bisect's result, or the BracketNotFound it raised, for each
+    (delta, model, keywords) of ``setups`` in turn, ``kwargs`` added."""
+    for i, (delta, model, delta_kwargs) in enumerate(setups):
+        seed = _streams.derive_seed(master_seed, 1000 + i)
+        try:
+            yield threshold_bisect(model, delta, eps, n, tol=tol,
+                                   master_seed=seed, **delta_kwargs, **kwargs)
+        except BracketNotFound as exc:
+            yield exc
+
+
+def _scaling_fit(eps: float, thresholds) -> FitResult:
+    """The line through (log(delta v eps), log sigma*) of each (delta, sigma*)."""
+    return fit_line([math.log(max(d, eps)) for d, _ in thresholds],
+                    [math.log(s) for _, s in thresholds])
 
 
 def scaling_exponent(model: Optional[DriftModel], delta_values: Sequence[float],
@@ -422,24 +434,27 @@ def scaling_exponent(model: Optional[DriftModel], delta_values: Sequence[float],
     """Fit log sigma* against log(delta v eps); the slope estimates 3/4.
 
     Requires delta >= 4 eps (so delta v eps = delta) and a delta span of at
-    least one decade.
+    least one decade.  ``model=None`` runs normal_form(delta) at each delta;
+    a given model runs at every delta, with only T0 and the default levels
+    following delta.  ``details`` keep the given order, which sets the
+    seeds as in ``srlab threshold``.
     """
-    deltas = sorted(float(d) for d in delta_values)
+    deltas = [float(d) for d in delta_values]
     if len(deltas) < 3:
         raise DegeneratePoints("need at least 3 delta values")
-    if deltas[0] < 4.0 * eps:
+    if min(deltas) < 4.0 * eps:
         raise ValueError("delta values must satisfy delta >= 4 eps")
-    if deltas[-1] < 10.0 * deltas[0]:
+    if max(deltas) < 10.0 * min(deltas):
         raise ValueError("delta values should span at least one decade")
-    xs, ys, details = [], [], []
-    for i, d in enumerate(deltas):
-        seed_d = _streams.derive_seed(master_seed, 1000 + i)
-        sig, st, probes = threshold_bisect(model, d, eps, n, tol=tol,
-                                           master_seed=seed_d, **kwargs)
-        xs.append(np.log(max(d, eps)))
-        ys.append(np.log(sig))
+    details = []
+    setups = [(d, model, {}) for d in deltas]
+    for d, result in zip(deltas, _bisect_each(setups, eps, n, tol, master_seed,
+                                              **kwargs)):
+        if isinstance(result, BracketNotFound):
+            raise result
+        sig, st, probes = result
         details.append((d, sig, st, tuple(probes)))
-    fit = fit_line(xs, ys)
+    fit = _scaling_fit(eps, [(d, sig) for d, sig, _, _ in details])
     return replace(fit, details=tuple(details))
 
 

@@ -319,6 +319,9 @@ class TestExitCodes:
         ("sweep", TINY_DT + "\n[mc]\nn = 4\n", [], "[sim] dt"),
         ("threshold", TINY_DT.replace("K = 2", "K = 0")
          + "\n[threshold]\ndelta_values = 0.04\nn = 4\n", [], "[sim] dt"),
+        # the manifest keys each delta's probes by its value
+        ("threshold", BASE + "\n[threshold]\ndelta_values = 0.02, 0.02, 0.04\n",
+         [], "[threshold] delta_values"),
         # the normal form needs a1 > 0; allen-cahn a forcing >= 0
         ("simulate", BASE.replace("delta = 0.04", "delta = 0.04\na1 = 0.0"),
          [], "[model] normal-form"),
@@ -347,6 +350,7 @@ class TestExitCodes:
             "transition-threshold-h", "transition-d-level-alone",
             "transition-d0-level-alone", "variance-check-sigma-zero",
             "simulate-dt-tiny", "sweep-dt-tiny", "threshold-dt-tiny",
+            "threshold-delta-repeated",
             "a1-zero", "amplitude-negative", "variance-check-n-one",
             "variance-check-sigma-square-underflows",
             "variance-check-sigma-square-overflows", "variance-check-a-zero",
@@ -850,7 +854,7 @@ tol = 0.005
     def test_unsorted_deltas_keep_config_order_and_seeds(self, tmp_path,
                                                          monkeypatch):
         # the i-th listed delta bisects from derive_seed(seed, 1000 + i) in
-        # config order; only mc.scaling_exponent sorts its deltas first
+        # config order, as in mc.scaling_exponent
         logistic_transition(monkeypatch, lambda d, e: 0.9 * max(d, e) ** 0.75)
         text = BASE + "\n[threshold]\ndelta_values = 0.02, 0.01\n"
         path = write_cfg(tmp_path, text)
@@ -863,6 +867,37 @@ tol = 0.005
             seed_d = derive_seed(4242, 1000 + i)
             assert [p["seed"] for p in probes[delta]] == [
                 derive_seed(seed_d, j) for j in range(len(probes[delta]))]
+
+    @pytest.mark.parametrize("deltas", [(0.01, 0.04, 0.16), (0.16, 0.01, 0.04)],
+                             ids=["sorted", "unsorted"])
+    def test_scaling_exponent_gives_each_delta_the_same_bisection(
+            self, tmp_path, monkeypatch, deltas):
+        logistic_transition(monkeypatch, lambda d, e: 0.9 * max(d, e) ** 0.75)
+        text = BASE + "\n[threshold]\ndelta_values = {}\n".format(
+            ", ".join(map(str, deltas)))
+        path = write_cfg(tmp_path, text)
+        assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "threshold.csv")
+        man = json.loads((tmp_path / "threshold_manifest.json").read_text())
+        probes = man["extras"]["bisection_probes"]
+        fit = mc.scaling_exponent(None, deltas, 1e-3, n=400, tol=0.1,
+                                  master_seed=4242)
+        assert [d for d, _, _, _ in fit.details] == list(deltas)
+        for row, (delta, sig, _, detail_probes) in zip(rows, fit.details):
+            assert float(row[0]) == delta and float(row[1]) == sig
+            assert [(p["sigma"], p["seed"]) for p in probes[str(delta)]] == [
+                (s, seed) for s, seed, _ in detail_probes]
+
+    def test_bad_late_delta_is_1_before_any_probe(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # every delta's run is set up, and checked, before the first probe
+        calls = logistic_transition(monkeypatch, lambda d, e: 0.1)
+        text = BASE + "\n[threshold]\ndelta_values = 0.02, 1e300\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "[sim] dt" in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_uses_configured_model_and_levels(self, tmp_path):
         # each probe is the transition_probability of the configured normal
