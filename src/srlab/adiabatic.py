@@ -163,6 +163,8 @@ def build_frame(model: DriftModel, eps: float, T0: float,
     """
     if not eps > 0:
         raise ValueError("eps: must be > 0")
+    if not T0 > 0:
+        raise ValueError("T0: must be > 0")
     grid_step = eps / 10 if grid_step is None else grid_step
     if not 0 < grid_step <= eps / 4:
         raise ValueError(f"grid_step: must lie in (0, eps/4 = {eps / 4}]")

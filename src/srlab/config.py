@@ -223,6 +223,9 @@ def _validate(cfg: RunConfig):
     if len(set(cfg.threshold.delta_values)) < len(cfg.threshold.delta_values):
         raise ConfigError("[threshold] delta_values: a delta is listed twice, "
                           "but the manifest keys probes by delta")
+    # [-t0, t0] is the frame's span and the normal form's default window
+    if not cfg.adiabatic.t0 > 0:
+        raise ConfigError("[adiabatic] t0: must be > 0")
     sim_config(cfg)   # the rules of TorusSpec, step_grid and SimConfig
     if min(cfg.sweep.sigma_values, default=0.0) < 0:
         raise ConfigError("[sweep] sigma_values: must be >= 0")

@@ -31,12 +31,12 @@ import numpy as np
 from . import _streams
 from .adiabatic import AdiabaticFrame
 from .config import ConfigError
-from .integrator import (EVENT_FIELD, MAX_FLOAT64S, TAU_COLUMN, ExitEvent,
-                         ExitSpec, SimConfig, simulate_batch,
-                         simulate_linear_mode, step_grid)
+from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
+                         SimConfig, simulate_batch, simulate_linear_mode,
+                         step_grid)
 from .model import (ROOT_BRACKET, DriftModel, equilibrium_branches,
                     normal_form)
-from .spectral import SpectralField, TorusSpec
+from .spectral import MAX_FLOAT64S, SpectralField, TorusSpec
 
 __all__ = [
     "ExitEvent",

@@ -12,18 +12,19 @@ product with weight L/n_grid on the uniform grid x_j = 2L j / n_grid covering
 one full period.  All physical-space sampling below uses that grid, which
 makes projection exact on the cutoff space whenever n_grid >= 2K+1.
 
-Grid transforms (``batch_to_physical``, ``batch_from_physical``: one field
-per row, any leading shape) are products with the cached real basis matrices
+Grid transforms (``batch_to_physical``, ``batch_from_physical``) multiply a
+``_block_buffer`` stack, one field per row, by the cached real basis matrices
 ``TorusSpec.synthesis`` (e_k(x_j)) and ``TorusSpec.analysis`` (its
-quadrature-weighted transpose), run by BLAS in the process that runs
-the chunk (see ``srlab.mc``).  A row costs O(n_modes * n_grid) against the FFT's
-O(n_grid log n_grid): on transition batches with the default grid, faster
-than numpy's rfft/irfft pair up to K = 32, about even at K = 48 and slower
-from K = 64 on.  The product runs in zero-padded blocks of DENSE_BLOCK rows
-(``_block_buffer``, whose layout the batch engine keeps its state in), so
-every row goes through the same gemm kernel and its bits do not depend on
-how many rows share the call.  They do depend on the BLAS build and the CPU:
-reproducible on one machine, not across machines.
+quadrature-weighted transpose) and fill another such stack.
+``integrator.simulate_batch`` runs both on every step, in the process that
+runs the chunk (see ``srlab.mc``); the benchmark traces them there, so they
+stay module attributes outside ``__all__``.  A row costs O(n_modes * n_grid)
+against the FFT's O(n_grid log n_grid): on transition batches with the
+default grid, faster than numpy's rfft/irfft pair up to K = 32, about even at
+K = 48 and slower from K = 64 on.  Every block has DENSE_BLOCK rows, zero
+past the last field, so every row goes through the same gemm kernel and its
+bits do not depend on how many rows share the call.  They do depend on the
+BLAS build and the CPU: reproducible on one machine, not across machines.
 
 The H^s norm is ||phi||_{H^s}^2 = sum_k <k>^{2s} phi_k^2 with the Japanese
 bracket <k> = (1 + k^2)^{1/2}.
@@ -41,14 +42,14 @@ __all__ = [
     "SpectralField",
     "hs_norm",
     "hs_weights",
-    "batch_to_physical",
-    "batch_from_physical",
 ]
 
 # Rows per gemm call in the grid transforms, a multiple of the row tiles of
 # x86 dgemm kernels, so every row of a block takes the same kernel path
 # (checked row by row in tests/test_spectral.py).
 DENSE_BLOCK = 16
+# the most float64 values one numpy array holds (intp.max bytes)
+MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,8 @@ class TorusSpec:
     field onto the modes is exact when n_grid >= (p+1)K + 1.  ``n_grid``
     defaults to 1 at K = 0, where every field is constant, and to
     max(4K, 8) for K >= 1: that dealiases quadratic drifts, but for K >= 2
-    it aliases a cubic term into the modes +-K.
+    it aliases a cubic term into the modes +-K.  The (n_modes, n_grid)
+    basis matrices must fit in one array.
     """
 
     L: float
@@ -75,12 +77,17 @@ class TorusSpec:
             mu_max = (np.float64(self.K) * np.pi / self.L) ** 2
         if not np.isfinite(mu_max):
             raise ValueError(f"L: {self.L} makes (K pi / L)^2 overflow at K = {self.K}")
-        if self.n_grid == 0:
-            object.__setattr__(self, "n_grid",
-                               max(4 * self.K, 8) if self.K else 1)
-        if self.n_grid < 2 * self.K + 1:
-            raise ValueError(f"n_grid: must be 0 or >= 2K+1 = {2 * self.K + 1}, "
+        default_grid = self.n_grid == 0
+        if default_grid:
+            object.__setattr__(self, "n_grid", max(4 * self.K, 8) if self.K else 1)
+        if self.n_grid < self.n_modes:
+            raise ValueError(f"n_grid: must be 0 or >= 2K+1 = {self.n_modes}, "
                              f"got {self.n_grid}")
+        # K is at fault when it set the grid or when even 2K+1 points are too many
+        if self.n_modes * self.n_grid > MAX_FLOAT64S:
+            name = "K" if default_grid or self.n_modes**2 > MAX_FLOAT64S else "n_grid"
+            raise ValueError(f"{name}: a ({self.n_modes}, {self.n_grid}) basis "
+                             "matrix holds more values than an array holds")
 
     @property
     def n_modes(self) -> int:
@@ -195,43 +202,24 @@ def hs_norm(fld: SpectralField, s: float) -> float:
 def _block_buffer(n: int, width: int) -> np.ndarray:
     """Zeroed (blocks, DENSE_BLOCK, width) buffer with room for n rows.
 
-    The grid transforms keep their rows in the leading rows of such a buffer
-    and multiply it block by block, so that each row goes through the same
-    gemm kernel whatever the row count.  BLAS rounds a row differently
-    depending on the product's shape: numpy sends one row to gemv, and gemm's
-    kernels treat edge rows and large products differently.
+    The grid transforms take and fill such block stacks, with the rows in
+    use leading and zeros after them, so that each row goes through the
+    same gemm kernel whatever the row count.  BLAS rounds a row differently
+    depending on the product's shape: numpy sends one row to gemv, and
+    gemm's kernels treat edge rows and large products differently.
     """
     return np.zeros((-(-n // DENSE_BLOCK), DENSE_BLOCK, width))
 
 
-def _rows_product(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """a @ matrix over the last axis, with bits per row that do not depend on
-    how many rows there are (see ``_block_buffer``)."""
-    rows = a.reshape(-1, a.shape[-1])
-    n, m = rows.shape
-    padded = _block_buffer(n, m)
-    padded.reshape(-1, m)[:n] = rows
-    out = padded @ matrix
-    return out.reshape(-1, matrix.shape[1])[:n].reshape(a.shape[:-1] + matrix.shape[1:])
+def batch_to_physical(blocks, spec: TorusSpec, out=None) -> np.ndarray:
+    """Sample each field of a ``_block_buffer`` stack on the grid, into
+    ``out`` if given: (blocks, DENSE_BLOCK, 2K+1) -> (..., n_grid).  Exact
+    up to roundoff, since the grid resolves the full basis period."""
+    return np.matmul(blocks, spec.synthesis, out=out)
 
 
-def batch_to_physical(coeffs: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Sample fields on the grid; coeffs shape (..., 2K+1) -> (..., n_grid).
-
-    Exact (up to roundoff) for cutoff-K fields since the grid resolves the
-    full basis period.
-    """
-    return _rows_product(np.asarray(coeffs, dtype=float), spec.synthesis)
-
-
-def batch_from_physical(values: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Project grid samples onto the basis; (..., n_grid) -> (..., 2K+1).
-
-    Quadrature projection with weight L/n_grid; exact on the cutoff space
-    for n_grid >= 2K+1.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != spec.n_grid:
-        raise ValueError(
-            f"expected {spec.n_grid} samples, got {values.shape[-1]}")
-    return _rows_product(values, spec.analysis)
+def batch_from_physical(blocks, spec: TorusSpec, out=None) -> np.ndarray:
+    """Project each row of grid samples of a ``_block_buffer`` stack onto the
+    basis, into ``out`` if given: (blocks, DENSE_BLOCK, n_grid) -> (..., 2K+1).
+    Quadrature with weight L/n_grid, exact on the cutoff space."""
+    return np.matmul(blocks, spec.analysis, out=out)

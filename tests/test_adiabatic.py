@@ -64,6 +64,11 @@ class TestTrackStable:
         with pytest.raises(ValueError, match="^grid_step: "):
             build_frame(normal_form(0.04), eps=1e-3, T0=0.2, grid_step=grid_step)
 
+    @pytest.mark.parametrize("T0", [0.0, -0.2])
+    def test_nonpositive_T0_names_T0(self, T0):
+        with pytest.raises(ValueError, match="^T0: "):
+            build_frame(normal_form(0.04), eps=1e-3, T0=T0)
+
     def test_abar_negative_everywhere(self):
         fr = build_frame(normal_form(0.04), 1e-3, T0=0.2)
         assert np.max(fr.abar) < 0.0

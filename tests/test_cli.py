@@ -343,6 +343,18 @@ class TestExitCodes:
         ("variance-check", linear_window("1e-19"), [], "[sim] dt"),
         # 3e17 step times fit in one array, but 8 paths of them do not
         ("variance-check", linear_window("1e-18"), [], "[mc] n"),
+        # a (2K+1, n_grid) basis matrix with more values than an array holds
+        ("simulate", BASE.replace("K = 4", "K = 10000000000000000000"), [],
+         "[torus] K"),
+        ("sweep", BASE.replace("K = 4", "K = 10000000000000000000")
+         + "\n[mc]\nn = 4\n", [], "[torus] K"),
+        ("simulate", BASE.replace("K = 4", "K = 2\nn_grid = 10000000000000000000"),
+         [], "[torus] n_grid"),
+        # the normal form's default window and the frame are [-t0, t0]
+        ("simulate", BASE.replace("t0 = 0.2", "t0 = 0"), [], "[adiabatic] t0"),
+        ("adiabatic", BASE.replace("t0 = 0.2", "t0 = -1").replace(
+            "seed = 4242", "seed = 4242\nt_start = -0.2\nt_end = 0.2"), [],
+         "[adiabatic] t0"),
     ], ids=["seed", "seed-override", "L", "n_grid", "L-eigenvalue-overflow",
             "mc-n", "threshold-n", "epsilon-inf", "sigma-values-negative",
             "exit-radius", "exit-levels",
@@ -355,7 +367,9 @@ class TestExitCodes:
             "variance-check-sigma-square-underflows",
             "variance-check-sigma-square-overflows", "variance-check-a-zero",
             "simulate-dt-times-past-array", "variance-check-dt-times-past-array",
-            "variance-check-paths-past-array"])
+            "variance-check-paths-past-array", "K-basis-past-array",
+            "sweep-K-basis-past-array", "n_grid-basis-past-array", "t0-zero",
+            "t0-negative-with-window"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)

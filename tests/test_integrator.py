@@ -559,3 +559,51 @@ class TestNoiseCount:
             expect = min((last[i] // block + 1) * block, cfg.n_steps)
             for k in spec.wavenumbers:
                 assert counts[(i, k)] == expect
+
+
+class TestTransformSeam:
+    """The step loop runs its grid products through the module attributes
+    that the benchmark's tracer patches, each once per step."""
+
+    @pytest.mark.parametrize("retire", [False, True],
+                             ids=["no-row-retires", "rows-stop-at-d0"])
+    @pytest.mark.parametrize("K", [0, 4])
+    def test_each_step_runs_both_transforms_once(self, monkeypatch, K, retire):
+        spec = TorusSpec(1.0, K)
+        cfg = make_cfg(spec, sigma=0.3, t_end=0.1, seed=3)
+        # phi0 relaxes towards c = -0.5, so every row passes -d0 = -0.2
+        # after about ten of the 200 steps
+        model = linear_drift(-1.0, -0.5 if retire else 0.0)
+        exits = ExitSpec(d_level=0.1, d0_level=0.2) if retire else None
+        init = SpectralField.zero(spec)
+
+        def run():
+            return simulate_batch(cfg, model, init, exits, None,
+                                  traj_indices=range(20))
+
+        plain = run()
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("batch_to_physical", "batch_from_physical"):
+            monkeypatch.setattr(integrator, name,
+                                counted(name, getattr(integrator, name)))
+        monkeypatch.setattr(DriftModel, "f", counted("f", DriftModel.f))
+        wrapped = run()
+
+        assert wrapped.tobytes() == plain.tobytes()
+        tau = wrapped["tau_minus_d0"]
+        if retire:
+            assert np.isfinite(tau).all() and len(set(tau)) > 1
+            steps = int(np.rint((tau - cfg.t_start) / cfg.dt + 0.5).max())
+            assert steps < cfg.n_steps
+        else:
+            assert np.isinf(tau).all()
+            steps = cfg.n_steps
+        assert calls == {"batch_to_physical": steps,
+                         "batch_from_physical": steps, "f": steps}

@@ -8,14 +8,22 @@ import pytest
 from srlab.model import (ALLEN_CAHN_CRITICAL, DriftKind, Stability,
                          allen_cahn, equilibrium_branches, linear_drift,
                          normal_form)
-from srlab.spectral import (SpectralField, TorusSpec, batch_from_physical,
-                            batch_to_physical, hs_norm)
+from srlab.spectral import (SpectralField, TorusSpec, _block_buffer,
+                            batch_from_physical, batch_to_physical, hs_norm)
+
+
+def in_blocks(fld):
+    """The field as the one row of a _block_buffer stack, as the integrator
+    lays out its state."""
+    blocks = _block_buffer(1, fld.spec.n_modes)
+    blocks[0, 0] = fld.coeffs
+    return blocks
 
 
 def projected_drift(model, t, fld):
     """Spectral coefficients of x -> f(t, phi(x)), as the integrator forms them."""
-    values = model.f(t, batch_to_physical(fld.coeffs, fld.spec))
-    return SpectralField(fld.spec, batch_from_physical(values, fld.spec))
+    values = model.f(t, batch_to_physical(in_blocks(fld), fld.spec))
+    return SpectralField(fld.spec, batch_from_physical(values, fld.spec)[0, 0])
 
 
 def cubic_roots_oracle(A):
@@ -145,8 +153,8 @@ class TestDriftApply:
         spec = TorusSpec(1.0, 4)
         f = SpectralField.constant(spec, 3.0)
         out = projected_drift(normal_form(0.0), 0.0, f)
-        np.testing.assert_allclose(batch_to_physical(out.coeffs, spec), -9.0,
-                                   atol=1e-10)
+        np.testing.assert_allclose(batch_to_physical(in_blocks(out), spec)[0, 0],
+                                   -9.0, atol=1e-10)
 
 
 def grid_values(model, t, x):
