@@ -38,8 +38,8 @@ from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
 from .mc import (BracketNotFound, DegeneratePoints, _bisect_each, _scaling_fit,
                  event_probability, mode_variance_report, run_batch,
                  transition_study)
-from .model import (DriftModel, RootBracketExhausted, allen_cahn,
-                    equilibrium_branches, linear_drift, normal_form)
+from .model import (DriftModel, allen_cahn, equilibrium_branches,
+                    linear_drift, normal_form)
 from .spectral import SpectralField
 
 EXIT_OK = 0
@@ -297,7 +297,12 @@ def _transition_setup(cfg: RunConfig, delta: float):
         step_grid(cfg.sim.epsilon, -T0, T0, cfg.sim.dt)
     levels = (None if exits.d_level is None else
               ExitSpec(d_level=exits.d_level, d0_level=exits.d0_level))
-    return build_model(cfg, delta), {
+    model = build_model(cfg, delta)
+    try:   # every path starts on the upper stable branch at -T0
+        equilibrium_branches(model, -T0).root()
+    except ValueError as exc:   # a cubic < 0 can leave none
+        raise ConfigError(f"[model] cubic: {exc} for transition runs") from None
+    return model, {
         "exits": levels, "K": cfg.torus.K, "L": cfg.torus.L,
         "n_grid": cfg.torus.n_grid, "dt": cfg.sim.dt, "T0": T0}
 
@@ -487,7 +492,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (NonFinite, StiffnessFailure) as exc:
         print(f"srlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (BracketNotFound, DegeneratePoints, RootBracketExhausted) as exc:
+    except (BracketNotFound, DegeneratePoints) as exc:
         print(f"srlab: {exc}", file=sys.stderr)
         return EXIT_BRACKET
 

@@ -34,8 +34,7 @@ from .config import ConfigError
 from .integrator import (EVENT_FIELD, TAU_COLUMN, ExitEvent, ExitSpec,
                          SimConfig, simulate_batch, simulate_linear_mode,
                          step_grid)
-from .model import (ROOT_BRACKET, DriftModel, equilibrium_branches,
-                    normal_form)
+from .model import DriftModel, equilibrium_branches, normal_form
 from .spectral import MAX_FLOAT64S, SpectralField, TorusSpec
 
 __all__ = [
@@ -304,8 +303,9 @@ def concentration_fit(model: DriftModel, cfg_base: SimConfig,
 
 def _default_levels(model: DriftModel, delta: float, eps: float,
                     T0: float) -> tuple[float, float]:
-    """d = half the minimal stable/unstable branch gap, d0 = 2d, clipped to
-    the root bracket [-ROOT_BRACKET, ROOT_BRACKET]."""
+    """d = half the minimal gap between the upper stable branch and an
+    unstable branch below it over [-T0, T0] (sqrt(max(delta, eps)) when
+    there is none), and d0 = 2d."""
     gaps = []
     for t in np.linspace(-T0, T0, 17):
         bs = equilibrium_branches(model, t)
@@ -314,12 +314,8 @@ def _default_levels(model: DriftModel, delta: float, eps: float,
             below = [r for r in bs.unstable_roots() if r < up]
             if below:
                 gaps.append(up - max(below))
-    if not gaps:
-        d = np.sqrt(max(delta, eps))
-    else:
-        d = 0.5 * min(gaps)
-    d = min(d, 0.45 * ROOT_BRACKET)
-    return d, min(2.0 * d, 0.9 * ROOT_BRACKET)
+    d = 0.5 * min(gaps) if gaps else np.sqrt(max(delta, eps))
+    return d, 2.0 * d
 
 
 def transition_study(model: Optional[DriftModel], delta: float, eps: float,

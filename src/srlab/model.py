@@ -13,11 +13,16 @@ A ``DriftModel`` is plain data, a drift kind and its parameters: ``f`` and
 ``dfdphi`` dispatch to the kind's module-level functions, so two models with
 the same parameters compare equal and every model pickles.  ``DriftKind``'s
 values are the ``[model] kind`` strings of a run configuration.
+
+Each drift is, at fixed t, a polynomial in phi of degree <= 3, and each kind
+lists its coefficients beside ``f`` and ``dfdphi``.  ``equilibrium_branches``
+takes the real roots of that polynomial, wherever on the real line they lie.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,21 +37,13 @@ __all__ = [
     "linear_drift",
     "equilibrium_branches",
     "ALLEN_CAHN_CRITICAL",
-    "RootBracketExhausted",
 ]
 
 ALLEN_CAHN_CRITICAL = 2.0 / (3.0 * np.sqrt(3.0))
 
-# equilibrium_branches looks for roots in [-ROOT_BRACKET, ROOT_BRACKET]
-ROOT_BRACKET = 3.0
-
 # Roots closer than this are reported as one double root; avoids spurious
 # stability flips at (avoided) transcritical points.
 DOUBLE_ROOT_TOL = 1e-7
-
-
-class RootBracketExhausted(RuntimeError):
-    """No root could be located/polished inside the configured bracket."""
 
 
 class DriftKind(enum.Enum):
@@ -89,11 +86,16 @@ def _linear_dfdphi(t, p, a, c):
     return a * np.ones_like(np.asarray(p, dtype=float))
 
 
-# (f, df/dphi) of each kind, called as fn(t, phi, **params)
+# (f, df/dphi, the coefficients of f(t, .) as a polynomial in phi, highest
+# power first) of each kind, called as fn(t, [phi,] **params)
 _DRIFTS = {
-    DriftKind.ALLEN_CAHN: (_allen_cahn_f, _allen_cahn_dfdphi),
-    DriftKind.NORMAL_FORM: (_normal_form_f, _normal_form_dfdphi),
-    DriftKind.LINEAR: (_linear_f, _linear_dfdphi),
+    DriftKind.ALLEN_CAHN: (_allen_cahn_f, _allen_cahn_dfdphi,
+                           lambda t, amplitude:
+                           [-1.0, 0.0, 1.0, amplitude * np.cos(t)]),
+    DriftKind.NORMAL_FORM: (_normal_form_f, _normal_form_dfdphi,
+                            lambda t, delta, cubic, a1:
+                            [-cubic, -1.0, 0.0, delta + a1 * t * t]),
+    DriftKind.LINEAR: (_linear_f, _linear_dfdphi, lambda t, a, c: [a, c]),
 }
 
 
@@ -163,83 +165,77 @@ class BranchSet:
         return max(roots) if branch == "upper" else min(roots)
 
 
-def _polish_root(g, lo: float, hi: float, maxit: int = 80) -> float:
-    """Bisection to near-convergence, then secant steps; g(lo), g(hi) straddle 0."""
-    flo, fhi = g(lo), g(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(maxit):
-        mid = 0.5 * (lo + hi)
-        fm = g(mid)
-        if fm == 0.0 or hi - lo < 1e-13 * max(1.0, abs(mid)):
-            lo = hi = mid
+def _quadratic(a, b, c) -> list:
+    """Real roots of a x^2 + b x + c, a != 0; a complex pair closer than
+    DOUBLE_ROOT_TOL is a double real root, as a real pair that close is."""
+    h, q = -0.5 * b / a, c / a
+    disc = h * h - q
+    if disc < -0.25 * DOUBLE_ROOT_TOL**2:
+        return []
+    r = math.sqrt(max(disc, 0.0))
+    return [h - r, h + r]
+
+
+def _newton(x, g, dg):
+    """x after up to two Newton steps on g, each kept only if it lowers |g|."""
+    for _ in range(2):
+        gx = g(x)
+        y = x - gx / dg(x)
+        if not abs(g(y)) < abs(gx):
             break
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    x0, x1 = lo, hi if hi != lo else lo + 1e-13
-    f0, f1 = g(x0), g(x1)
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x0, f0, x1, f1 = x1, f1, x2, g(x2)
-    return x1 if abs(g(x1)) <= abs(g(0.5 * (lo + hi))) else 0.5 * (lo + hi)
+        x = y
+    return x
 
 
-def equilibrium_branches(model: DriftModel, t: float) -> BranchSet:
-    """All real roots of f(t, .) in [-ROOT_BRACKET, ROOT_BRACKET] with
-    stability labels.
+def _real_roots(c: np.ndarray, g, dg) -> list:
+    """Real roots of the polynomial ``c`` (highest power first, degree <= 3)
+    that g and dg evaluate.
 
-    Sign-scan on 2001 points plus bisection/secant polishing; tangential
-    double roots are caught through the critical points of f and reported
-    once, as MARGINAL.  Residuals are <= 1e-10.
+    A leading coefficient that is zero, or so small that the others overflow
+    when divided by it, has no finite root and is dropped.  A cubic divides
+    its largest real root from np.roots out from the constant term up (stable
+    for that root), after Newton steps on it, and polishes the roots of the
+    quadratic left the same way: np.roots alone loses roots far smaller than
+    the largest one.
     """
-    g = lambda p: float(model.f(t, p))
-    xs = np.linspace(-ROOT_BRACKET, ROOT_BRACKET, 2001)
-    sign = np.sign(np.asarray(model.f(t, xs), dtype=float))
-    # scan points where f is exactly 0, then the brackets where it changes sign
-    roots: list[float] = xs[sign == 0].tolist()
-    roots += [_polish_root(g, float(xs[i]), float(xs[i + 1]))
-              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+    while len(c) > 1 and not np.isfinite(c[1:] / c[0]).all():
+        c = c[1:]
+    if len(c) == 3:
+        return _quadratic(*c)
+    if len(c) < 3:
+        return [-c[1] / c[0]] if len(c) == 2 else []
+    z = np.roots(c)
+    real = z.real[z.imag == 0]
+    r = _newton(real[np.argmax(abs(real))], g, dg)
+    q0 = -c[3] / r
+    q1 = (q0 - c[2]) / r
+    return [r] + [_newton(x, g, dg)
+                  for x in _quadratic((q1 - c[1]) / r, q1, q0)]
 
-    # tangencies: critical points of f where f itself vanishes (double roots)
-    dg = lambda p: float(model.dfdphi(t, p))
-    dsign = np.sign(np.asarray(model.dfdphi(t, xs), dtype=float))
-    for i in np.flatnonzero(dsign[:-1] * dsign[1:] < 0):
-        xc = _polish_root(dg, float(xs[i]), float(xs[i + 1]))
-        if abs(g(xc)) <= 1e-8 and all(abs(xc - r) > DOUBLE_ROOT_TOL
-                                      for r in roots):
-            roots.append(xc)
 
-    roots.sort()
+@np.errstate(all="ignore")
+def equilibrium_branches(model: DriftModel, t: float) -> BranchSet:
+    """All real roots of f(t, .), the polynomial in phi that the drift is at
+    t, with stability labels.
+
+    Roots closer than DOUBLE_ROOT_TOL are reported once, at their mean, so a
+    double root is one root, labelled MARGINAL.  A drift constant in phi
+    (linear with a = 0) has no isolated root: the set is empty.  The
+    quadratic normal form's roots are -+sqrt(delta + a1 t^2) exactly.
+    """
+    g = lambda p: model.f(t, np.float64(p))
+    dg = lambda p: model.dfdphi(t, np.float64(p))
+    coeffs = np.array(_DRIFTS[model.kind][2](t, **model.params), dtype=float)
     merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < DOUBLE_ROOT_TOL:
+    for r in sorted(float(r) + 0.0 for r in _real_roots(coeffs, g, dg)
+                    if math.isfinite(r)):    # + 0.0 turns -0.0 into 0.0
+        if merged and r - merged[-1] < DOUBLE_ROOT_TOL:
             merged[-1] = 0.5 * (merged[-1] + r)
         else:
             merged.append(r)
-    if not merged:
-        raise RootBracketExhausted(
-            f"no root of f({t}, .) found in [-{ROOT_BRACKET}, {ROOT_BRACKET}]")
-
-    out_stab, out_a = [], []
-    for r in merged:
-        res = abs(g(r))
-        if res > 1e-10:
-            raise RootBracketExhausted(
-                f"root polishing stalled at phi={r} (residual {res:.2e})")
-        a = dg(r)
-        if a < -1e-9:
-            stab = Stability.STABLE
-        elif a > 1e-9:
-            stab = Stability.UNSTABLE
-        else:
-            stab = Stability.MARGINAL
-        out_stab.append(stab)
-        out_a.append(a)
-    return BranchSet(t=float(t), roots=tuple(merged), stability=tuple(out_stab),
-                     a_values=tuple(out_a))
+    a_values = tuple(float(dg(r)) for r in merged)
+    stability = tuple(Stability.STABLE if a < -1e-9 else
+                      Stability.UNSTABLE if a > 1e-9 else Stability.MARGINAL
+                      for a in a_values)
+    return BranchSet(t=float(t), roots=tuple(merged), stability=stability,
+                     a_values=a_values)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srlab.mc as mc
@@ -78,6 +78,12 @@ CONFIG_VALUES = (["", "0", "1", "-1", "2", "0.25", "1e-4", "1e300", "-1e300",
                  + [k.value for k in DriftKind] + [e.value for e in ExitEvent]
                  + ["branch", "adiabatic", "zero", "const:0.5", "const:nan",
                     "upper", "lower"])
+
+# the linear drift f = 5 - phi, whose one root lies past 3
+LINEAR_PAST_THREE = "[model]\nkind = linear\na = -1.0\nc = 5.0\n"
+# the linear drift f = 0
+LINEAR_CONSTANT = {("model", "kind"): "linear", ("model", "a"): "0",
+                   ("model", "c"): "0"}
 
 # the default configuration at sizes that run in well under a second
 SMALL = RunConfig()
@@ -355,6 +361,11 @@ class TestExitCodes:
         ("adiabatic", BASE.replace("t0 = 0.2", "t0 = -1").replace(
             "seed = 4242", "seed = 4242\nt_start = -0.2\nt_end = 0.2"), [],
          "[adiabatic] t0"),
+        # f = s - phi^2 + 100 phi^3 has one, unstable, equilibrium
+        ("sweep", BASE.replace("delta = 0.04", "delta = 0.04\ncubic = -100")
+         + "\n[mc]\nn = 4\n", [], "[model] cubic"),
+        ("threshold", BASE.replace("delta = 0.04", "delta = 0.04\ncubic = -100")
+         + "\n[threshold]\ndelta_values = 0.04\nn = 4\n", [], "[model] cubic"),
     ], ids=["seed", "seed-override", "L", "n_grid", "L-eigenvalue-overflow",
             "mc-n", "threshold-n", "epsilon-inf", "sigma-values-negative",
             "exit-radius", "exit-levels",
@@ -369,7 +380,8 @@ class TestExitCodes:
             "simulate-dt-times-past-array", "variance-check-dt-times-past-array",
             "variance-check-paths-past-array", "K-basis-past-array",
             "sweep-K-basis-past-array", "n_grid-basis-past-array", "t0-zero",
-            "t0-negative-with-window"])
+            "t0-negative-with-window", "sweep-no-stable-branch",
+            "threshold-no-stable-branch"])
     def test_invalid_value_is_1_not_a_traceback(self, tmp_path, capsys, command,
                                                  text, args, field):
         path = write_cfg(tmp_path, text)
@@ -435,6 +447,11 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.csv"))
 
     @settings(max_examples=600, deadline=None, derandomize=True)
+    # a drift constant in phi (linear, a = 0) has no equilibrium
+    @example("branches", LINEAR_CONSTANT)
+    @example("simulate", LINEAR_CONSTANT)
+    @example("branches", {**LINEAR_CONSTANT, ("model", "c"): "1"})
+    @example("simulate", {**LINEAR_CONSTANT, ("model", "c"): "1"})
     @given(st.sampled_from(sorted(_COMMANDS)),
            st.dictionaries(st.sampled_from(CONFIG_KEYS),
                            st.sampled_from(CONFIG_VALUES), min_size=1,
@@ -495,12 +512,42 @@ class TestExitCodes:
         assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
         assert "SRLAB_WORKERS='abc'" in capsys.readouterr().err
 
-    def test_branches_outside_root_bracket_is_3(self, tmp_path, capsys):
-        # delta = 10 puts the branches +-sqrt(delta + t^2) outside the
-        # root bracket [-3, 3]
+    def test_branches_past_three_are_0(self, tmp_path):
+        # the branches +-sqrt(delta + t^2) of delta = 10 lie past +-3
         path = write_cfg(tmp_path, BASE.replace("delta = 0.04", "delta = 10.0"))
-        assert main(["branches", "--config", path, "--out", str(tmp_path)]) == 3
-        assert "no root" in capsys.readouterr().err
+        assert main(["branches", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "branches.csv")
+        assert len(rows) == 21
+        for row in rows:
+            t = float(row[0])
+            assert float(row[1]) == -math.sqrt(10.0 + t * t)
+            assert float(row[4]) == math.sqrt(10.0 + t * t)
+            assert (row[2], row[5], row[7]) == ("unstable", "stable", "")
+
+    @pytest.mark.parametrize("command, text", [
+        ("branches", LINEAR_PAST_THREE), ("simulate", LINEAR_PAST_THREE),
+        # the upper branch at t = -3 is sqrt(9.04)
+        ("simulate", BASE.replace("K = 4", "K = 2").replace(
+            "epsilon = 0.001", "epsilon = 0.01").replace("t0 = 0.2", "t0 = 3")),
+    ], ids=["branches-linear", "simulate-linear", "simulate-normal-form-t0-3"])
+    def test_root_past_three_is_0(self, tmp_path, capsys, command, text):
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("c", ["0.0", "1.0"])
+    def test_drift_constant_in_phi(self, tmp_path, capsys, c):
+        # f = c has no isolated root: branches writes empty root columns,
+        # and a run that starts on a branch has none to start on
+        text = f"[model]\nkind = linear\na = 0.0\nc = {c}\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["branches", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "branches.csv")
+        assert rows and all(row[1:] == [""] * 9 for row in rows)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "[sim] init: no stable equilibrium" in err
+        assert "Traceback" not in err
 
     def test_bracket_failure_is_3(self, tmp_path, monkeypatch):
         calls = logistic_transition(monkeypatch, lambda d, e: 1e9)
