@@ -84,10 +84,12 @@ class AdiabaticFrame:
                 **{name: getattr(self, name) for name in FRAME_COLUMNS[1:]}}
 
 
+@np.errstate(over="ignore")
 def _implicit_midpoint(model: DriftModel, eps: float, t_grid: np.ndarray,
                        y0: float) -> np.ndarray:
     """March eps*y' = f(t, y) from y(t_grid[0]) = y0 over t_grid with the
-    implicit midpoint rule; a decreasing t_grid marches backwards."""
+    implicit midpoint rule; a decreasing t_grid marches backwards.  An
+    overflow shows as a non-finite residual, which raises StiffnessFailure."""
     n = len(t_grid)
     y = np.empty(n)
     y[0] = y0

@@ -64,7 +64,7 @@ __all__ = [
 
 
 # The default time step is eps / STEPS_PER_EPS wherever a run leaves dt unset.
-STEPS_PER_EPS = 20
+STEPS_PER_EPS = 10
 
 
 def step_grid(eps: float, t_start: float, t_end: float,

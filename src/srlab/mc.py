@@ -395,12 +395,12 @@ def threshold_bisect(model: Optional[DriftModel], delta: float, eps: float,
 
     st = None
     while np.log(hi / lo) >= tol and len(probes) < MAX_PROBES:
-        mid = float(np.sqrt(lo * hi))
+        mid = math.sqrt(lo) * math.sqrt(hi)
         st = evaluate(mid)
         if st.ci_low <= 0.5 <= st.ci_high:
             return mid, st, probes
         lo, hi = (mid, hi) if st.p_hat < 0.5 else (lo, mid)
-    mid = float(np.sqrt(lo * hi))
+    mid = math.sqrt(lo) * math.sqrt(hi)
     if st is None or probes[-1][0] != mid:
         st = evaluate(mid)
     return mid, st, probes
@@ -509,7 +509,7 @@ def scalar_transition_probability(delta: float, eps: float, sigma: float,
 
     Simulates eps dphi = (delta + t^2 - phi^2) dt + sqrt(eps) sigma dW
     from phi(-T0) on the stable branch, with its own noise streams, at the
-    step eps/200 (10x the field integrator's default resolution).
+    step eps/200 (20x the field integrator's default resolution).
     """
     dt = eps / 200.0
     n_steps = int(round(2.0 * T0 / dt))

@@ -446,12 +446,16 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=600, deadline=None, derandomize=True)
     # a drift constant in phi (linear, a = 0) has no equilibrium
     @example("branches", LINEAR_CONSTANT)
     @example("simulate", LINEAR_CONSTANT)
     @example("branches", {**LINEAR_CONSTANT, ("model", "c"): "1"})
     @example("simulate", {**LINEAR_CONSTANT, ("model", "c"): "1"})
+    # sigma_lo * sigma_hi overflows: the bisection must not probe sigma = inf
+    @example("threshold", {("sim", "epsilon"): "1e300",
+                           ("threshold", "sigma_lo"): "1"})
     @given(st.sampled_from(sorted(_COMMANDS)),
            st.dictionaries(st.sampled_from(CONFIG_KEYS),
                            st.sampled_from(CONFIG_VALUES), min_size=1,

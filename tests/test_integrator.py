@@ -86,7 +86,12 @@ class TestNoiseIncrementStd:
 
 class TestStepGrid:
     def test_window_snaps_to_whole_steps(self):
-        assert integrator.step_grid(1e-2, -0.2, 0.2) == (5e-4, -0.2 + 800 * 5e-4)
+        dt = 1e-2 / integrator.STEPS_PER_EPS
+        n = 40 * integrator.STEPS_PER_EPS   # 0.4 / dt
+        assert integrator.step_grid(1e-2, -0.2, 0.2) == (dt, -0.2 + n * dt)
+        # a window 0.3 steps past n steps snaps back to n
+        assert integrator.step_grid(1e-2, -0.2, 0.2 + 0.3 * dt) == (
+            dt, -0.2 + n * dt)
         # a window shorter than half a step still runs one step
         assert integrator.step_grid(1e-2, 0.0, 1e-4, dt=1e-3) == (1e-3, 1e-3)
 

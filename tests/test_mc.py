@@ -1,14 +1,17 @@
 """Monte Carlo layer: estimators, fits, thresholds, variance report."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import srlab.mc as mc
+from srlab import integrator
 from srlab.config import ConfigError
 from srlab.integrator import ExitSpec, SimConfig, simulate_batch
 from srlab.mc import (BracketNotFound, DegeneratePoints, ExitEvent,
@@ -326,6 +329,18 @@ class TestThresholdBisect:
         assert len(info.value.probes) == len(calls) == mc.MAX_PROBES
         assert [s for _, s, _ in info.value.probes] == calls
 
+    def test_bracket_whose_product_overflows(self, monkeypatch):
+        # sigma_lo * sigma_hi = 1e310 is past the float range; the midpoint
+        # sqrt(lo) sqrt(hi) is not
+        logistic_transition(monkeypatch, lambda d, e: 1e160, sharpness=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sig, _, probes = threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.1,
+                                              sigma_lo=1e10, sigma_hi=1e300)
+        assert 1e10 < sig < 1e300
+        assert abs(math.log(sig / 1e160)) <= 0.1
+        assert all(0.0 < s < math.inf for s, _, _ in probes)
+
     def test_probes_are_recorded_with_seeds(self, monkeypatch):
         logistic_transition(monkeypatch, lambda d, e: 0.09)
         _, _, probes = threshold_bisect(None, 0.04, 1e-3, n=10, tol=0.2,
@@ -421,3 +436,19 @@ class TestTransitionProbability:
         oracle = scalar_transition_probability(delta, eps, sigma, 300, d,
                                                2 * d, T0, seed=2718)
         assert st.ci_low <= oracle.ci_high and oracle.ci_low <= st.ci_high
+
+    def test_default_step_bias_at_k0(self):
+        # criterion 7's setting at sigma = delta^(3/4), where p ~ 0.52: the
+        # default step against one 4x finer, n = 4000 each on its own seed,
+        # so the SE of the difference is ~sqrt(2 * 0.25 / 4000) ~ 0.011
+        delta, eps, n = 0.04, 1e-3, 4000
+        d = np.sqrt(delta)
+        exits = ExitSpec(d_level=d, d0_level=2 * d)
+        fine_dt = eps / (4 * integrator.STEPS_PER_EPS)
+        default, fine = (transition_probability(None, delta, eps, delta**0.75,
+                                                n, exits, K=0, T0=0.5,
+                                                dt=dt, seed=seed)
+                         for dt, seed in ((None, 27), (fine_dt, 28)))
+        se = math.sqrt(sum(st.p_hat * (1 - st.p_hat) / n
+                           for st in (default, fine)))
+        assert abs(default.p_hat - fine.p_hat) <= 3 * se
